@@ -47,7 +47,7 @@ rng = np.random.default_rng(0)
 params = init_params(layout, d_e=4, d_t=3, cand_docs=rng.standard_normal((n, 5)),
                      job_docs=rng.standard_normal((m, 5)), seed=1)
 state = propagate(params, graph, variant)
-print(f"\npropagated table: {state.z.shape}, averaged over {len(state.layers)} layers")
+print(f"\npropagated table: {state.z.shape}, averaged over {variant.layers + 1} layers")
 
 r, s, y = score_pair(state.z, layout, cand=0, job=0)
 print(f"matched pair (0, 0): r={r:+.4f} s={s:+.4f} y={y:+.4f}")

@@ -49,13 +49,7 @@ from .evaluation import (
     rank_metrics,
     sparsity_breakdown,
 )
-from .graph import (
-    DualGraph,
-    EdgeClass,
-    NodeLayout,
-    build_graph,
-    class_adjacency_apply,
-)
+from .graph import DualGraph, EdgeClass, NodeLayout, build_graph
 from .model import (
     ModelParams,
     PropagatedState,

@@ -45,8 +45,15 @@ from .evaluation import (
     partner_maps,
     sparsity_breakdown,
 )
-from .graph import EdgeClass, build_graph, edge_table
-from .model import VariantConfig, propagate, score_pair, variant_config, build_variant_graph
+from .graph import EdgeClass, edge_table
+from .model import (
+    VARIANTS,
+    VariantConfig,
+    build_variant_graph,
+    propagate,
+    score_pair,
+    variant_config,
+)
 from .optim import (
     Checkpoint,
     TrainConfig,
@@ -55,6 +62,7 @@ from .optim import (
     params_from_checkpoint,
     save_checkpoint,
     train,
+    write_atomic,
 )
 
 logger = logging.getLogger(__name__)
@@ -100,7 +108,6 @@ class RunConfig:
     patience: int = 10
     seed: int = 0
     eval_seed: int = 1
-    propagate_every: str = "batch"
     ssl_negatives: int = 0
     # evaluation protocol
     eval_negatives: int = 20
@@ -179,49 +186,23 @@ def validate_run_config(cfg: RunConfig) -> None:
         raise ConfigError(f"sweep_axis must be one of {SWEEP_AXES}, got {cfg.sweep_axis!r}")
 
 
+def _shared_fields(cfg: RunConfig, cls) -> dict:
+    """The RunConfig values of every field that ``cls`` has under the same name."""
+    return {f.name: getattr(cfg, f.name) for f in fields(cls) if f.name in _FIELD_TYPES}
+
+
 def variant_for(cfg: RunConfig) -> VariantConfig:
-    return variant_config(
-        cfg.variant,
-        ssl_weight=cfg.ssl_weight,
-        omega=cfg.omega,
-        layers=cfg.layers,
-        self_edges=cfg.self_edges,
-    )
+    return variant_config(cfg.variant, **_shared_fields(cfg, VariantConfig))
 
 
 def train_config_for(cfg: RunConfig) -> TrainConfig:
-    tc = TrainConfig(
-        d_e=cfg.d_e,
-        d_t=cfg.d_t,
-        learning_rate=cfg.learning_rate,
-        batch_size=cfg.batch_size,
-        max_epochs=cfg.max_epochs,
-        patience=cfg.patience,
-        tau=cfg.tau,
-        seed=cfg.seed,
-        eval_seed=cfg.eval_seed,
-        propagate_every=cfg.propagate_every,
-        ssl_negatives=cfg.ssl_negatives,
-        eval_negatives=cfg.eval_negatives,
-        eval_k=cfg.k,
-    )
+    tc = TrainConfig(**_shared_fields(cfg, TrainConfig), eval_k=cfg.k)
     tc.validate()
     return tc
 
 
 def synthetic_spec_for(cfg: RunConfig) -> SyntheticSpec:
-    spec = SyntheticSpec(
-        n=cfg.n,
-        m=cfg.m,
-        d_latent=cfg.d_latent,
-        d_o=cfg.d_o,
-        days=cfg.days,
-        apply_rate=cfg.apply_rate,
-        reachout_rate=cfg.reachout_rate,
-        match_threshold=cfg.match_threshold,
-        asymmetry=cfg.asymmetry,
-        seed=cfg.seed,
-    )
+    spec = SyntheticSpec(**_shared_fields(cfg, SyntheticSpec))
     spec.validate()
     return spec
 
@@ -251,13 +232,8 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
         key, _, value = item.partition("=")
         pairs[key.strip()] = value.strip()
     # Dedicated flags take precedence over the file and --set.
-    for attr, key in (
-        ("log", "log"),
-        ("variant", "variant"),
-        ("seed", "seed"),
-        ("k", "k"),
-    ):
-        value = getattr(args, attr, None)
+    for key in ("log", "variant", "seed", "k"):
+        value = getattr(args, key, None)
         if value is not None:
             pairs[key] = str(value)
     return make_run_config(pairs)
@@ -288,12 +264,8 @@ def _load_docs(cfg: RunConfig, n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _write_tsv(path: Path, comment_lines: list[str], header: str, rows: list[str]) -> None:
-    with path.open("w", encoding="utf-8") as fh:
-        for line in comment_lines:
-            fh.write(f"# {line}\n")
-        fh.write(header + "\n")
-        for row in rows:
-            fh.write(row + "\n")
+    lines = [f"# {line}" for line in comment_lines] + [header] + rows
+    write_atomic(path, "".join(line + "\n" for line in lines).encode("utf-8"))
 
 
 def _fmt(value: float) -> str:
@@ -419,28 +391,22 @@ def cmd_eval(args: argparse.Namespace) -> int:
     report = evaluate(state.z, ckpt.layout, instances, k=cfg.k)
 
     comments = provenance_lines(cfg, seed=cfg.eval_seed) + [f"k={cfg.k}", f"split={args.split}"]
+    groups = {}
+    header = "direction\tmetric\tvalue"
     if args.sparsity_groups:
         cand_counts, job_counts = interaction_counts(dataset.train, dataset.n, dataset.m)
         groups = sparsity_breakdown(
             state.z, ckpt.layout, instances, cand_counts, job_counts, k=cfg.k
         )
         header = "direction\tgroup\tmetric\tvalue"
-        rows = []
-        for direction, rep in (
-            (Direction.FOR_CANDIDATES, report.for_candidates),
-            (Direction.FOR_JOBS, report.for_jobs),
-        ):
-            rows.extend(_report_rows(direction, rep, cfg.k, "all"))
-            for gi, group_report in enumerate(groups[direction], start=1):
-                rows.extend(_report_rows(direction, group_report, cfg.k, f"g{gi}"))
-    else:
-        header = "direction\tmetric\tvalue"
-        rows = []
-        for direction, rep in (
-            (Direction.FOR_CANDIDATES, report.for_candidates),
-            (Direction.FOR_JOBS, report.for_jobs),
-        ):
-            rows.extend(_report_rows(direction, rep, cfg.k, None))
+    rows = []
+    for direction, rep in (
+        (Direction.FOR_CANDIDATES, report.for_candidates),
+        (Direction.FOR_JOBS, report.for_jobs),
+    ):
+        rows.extend(_report_rows(direction, rep, cfg.k, "all" if args.sparsity_groups else None))
+        for gi, group_report in enumerate(groups.get(direction, []), start=1):
+            rows.extend(_report_rows(direction, group_report, cfg.k, f"g{gi}"))
 
     for line in [header] + rows:
         print(line)
@@ -476,8 +442,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
     rows = []
     for value in grid:
-        key = "lambda" if axis == "lambda" else axis
-        point_cfg = replace(cfg, **{KEY_ALIASES.get(key, key): value})
+        point_cfg = replace(cfg, **{KEY_ALIASES.get(axis, axis): value})
         result = train(
             dataset, cand_docs, job_docs, train_config_for(point_cfg), variant_for(point_cfg)
         )
@@ -529,14 +494,7 @@ def cmd_score_pair(args: argparse.Namespace) -> int:
 def cmd_inspect_graph(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
     _, dataset = _load_dataset(cfg)
-    variant = variant_for(cfg)
-    graph = build_graph(
-        dataset.train,
-        dataset.n,
-        dataset.m,
-        self_edges=variant.self_edges if variant.dual_graph else "off",
-        dual=variant.dual_graph,
-    )
+    graph = build_variant_graph(dataset.train, dataset.n, dataset.m, variant_for(cfg))
     degrees = graph.degrees
     print(f"layout={'dual' if graph.layout.dual else 'single'} nodes={graph.node_count} "
           f"candidates={dataset.n} jobs={dataset.m}")
@@ -586,13 +544,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("train", help="train a model and save the best checkpoint")
     _add_common(p)
-    p.add_argument("--variant", choices=("full", "no-dpg", "no-ql", "no-ssl"))
+    p.add_argument("--variant", choices=VARIANTS)
     p.add_argument("--out-dir", required=True)
     p.set_defaults(func=cmd_train)
 
     p = sub.add_parser("eval", help="evaluate a checkpoint with ranked metrics")
     _add_common(p)
-    p.add_argument("--variant", choices=("full", "no-dpg", "no-ql", "no-ssl"))
+    p.add_argument("--variant", choices=VARIANTS)
     p.add_argument("--checkpoint", required=True)
     p.add_argument("--report", help="write the metric table to this TSV")
     p.add_argument("--split", choices=("valid", "test"), default="test")
@@ -603,7 +561,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="train/evaluate across a hyper-parameter grid")
     _add_common(p)
-    p.add_argument("--variant", choices=("full", "no-dpg", "no-ql", "no-ssl"))
+    p.add_argument("--variant", choices=VARIANTS)
     p.add_argument("--axis", choices=SWEEP_AXES)
     p.add_argument("--grid", help="comma-separated grid values")
     p.add_argument("--out", required=True, help="output TSV path")
@@ -618,7 +576,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("inspect-graph", help="summarize the training interaction graph")
     _add_common(p)
-    p.add_argument("--variant", choices=("full", "no-dpg", "no-ql", "no-ssl"))
+    p.add_argument("--variant", choices=VARIANTS)
     p.add_argument("--dump-edges", help="write src/dst/class/coeff TSV")
     p.set_defaults(func=cmd_inspect_graph)
 

@@ -1,4 +1,4 @@
-"""Dual-perspective interaction graph with per-class normalized adjacency.
+"""Dual-perspective interaction graph with class-typed normalized edges.
 
 Every user owns two nodes, an active one (initiating interactions) and a
 passive one (receiving them). A match between candidate i and job k inserts
@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass, field
-from typing import Mapping
 
 import numpy as np
 import scipy.sparse as sp
@@ -31,6 +30,9 @@ class EdgeClass(enum.Enum):
     MATCH = "match"
     UNI = "uni"
     SELF = "self"
+
+
+EDGE_CLASSES = tuple(EdgeClass)
 
 
 @dataclass(frozen=True)
@@ -83,41 +85,53 @@ def _pairs_array(pairs) -> tuple[np.ndarray, np.ndarray]:
 
 @dataclass
 class DualGraph:
-    """Per-edge-class symmetric adjacency with shared degree normalization.
+    """Undirected edge list with class codes and shared degree normalization.
 
-    The entry for edge (u, v) in every class matrix is 1/sqrt(deg(u)*deg(v))
-    where degrees count incident edges across all classes, so isolated nodes
-    carry no arcs and never divide by zero.
+    Row e of ``edges`` is a node pair (lo, hi) with lo < hi, its class is
+    ``EDGE_CLASSES[classes[e]]``, and its coefficient is
+    1/sqrt(deg(lo)*deg(hi)), where degrees count incident edges across all
+    classes, so isolated nodes carry no arcs and never divide by zero.
     """
 
     layout: NodeLayout
     self_edges: str
-    adjacency: Mapping[EdgeClass, sp.csr_matrix]
+    edges: np.ndarray          # (e, 2) int64, sorted by class then (lo, hi)
+    classes: np.ndarray        # (e,) int8 index into EDGE_CLASSES
+    coeffs: np.ndarray         # (e,) float64
     degrees: np.ndarray
-    edge_counts: Mapping[EdgeClass, int]
     _operators: dict[float, sp.csr_matrix] = field(default_factory=dict, repr=False)
 
     @property
     def node_count(self) -> int:
         return self.layout.node_count
 
+    @property
+    def edge_counts(self) -> dict[EdgeClass, int]:
+        counts = np.bincount(self.classes, minlength=len(EDGE_CLASSES))
+        return {cls: int(count) for cls, count in zip(EDGE_CLASSES, counts)}
+
     def operator(self, omega: float) -> sp.csr_matrix:
         """Combined propagation operator: match + omega * uni (+ self edges).
 
         Self-association edges fold into the match term at weight 1 under
         "as_match" and into the unidirectional term (weight omega) under
-        "as_uni"; under "off" they do not exist.
+        "as_uni"; under "off" they do not exist. Arcs weighted zero are
+        dropped, so omega = 0 removes the unidirectional edges.
         """
         key = float(omega)
         cached = self._operators.get(key)
         if cached is not None:
             return cached
-        combined = self.adjacency[EdgeClass.MATCH] + omega * self.adjacency[EdgeClass.UNI]
-        if self.self_edges == "as_match":
-            combined = combined + self.adjacency[EdgeClass.SELF]
-        elif self.self_edges == "as_uni":
-            combined = combined + omega * self.adjacency[EdgeClass.SELF]
-        combined = sp.csr_matrix(combined)
+        self_weight = omega if self.self_edges == "as_uni" else 1.0
+        weights = np.array([1.0, omega, self_weight])[self.classes]
+        data = weights * self.coeffs
+        rows = np.concatenate([self.edges[:, 0], self.edges[:, 1]])
+        cols = np.concatenate([self.edges[:, 1], self.edges[:, 0]])
+        total = self.node_count
+        combined = sp.csr_matrix(
+            (np.concatenate([data, data]), (rows, cols)), shape=(total, total)
+        )
+        combined.eliminate_zeros()
         self._operators[key] = combined
         return combined
 
@@ -174,51 +188,24 @@ def build_graph(
         self_edges_arr = np.empty((0, 2), dtype=np.int64)
         mode = "off"
 
-    by_class = {
-        EdgeClass.MATCH: match_edges,
-        EdgeClass.UNI: uni_edges,
-        EdgeClass.SELF: self_edges_arr,
-    }
-    endpoints = np.concatenate([e.ravel() for e in by_class.values()])
-    degrees = np.bincount(endpoints, minlength=total).astype(np.int64)
-
-    adjacency = {}
-    for cls, edges in by_class.items():
-        if edges.size:
-            coeff = 1.0 / np.sqrt(degrees[edges[:, 0]] * degrees[edges[:, 1]])
-            rows = np.concatenate([edges[:, 0], edges[:, 1]])
-            cols = np.concatenate([edges[:, 1], edges[:, 0]])
-            data = np.concatenate([coeff, coeff])
-        else:
-            rows = cols = np.empty(0, dtype=np.int64)
-            data = np.empty(0, dtype=np.float64)
-        adjacency[cls] = sp.csr_matrix((data, (rows, cols)), shape=(total, total))
-
+    by_class = (match_edges, uni_edges, self_edges_arr)
+    edges = np.concatenate(by_class)
+    classes = np.repeat(np.arange(len(by_class), dtype=np.int8), [e.shape[0] for e in by_class])
+    degrees = np.bincount(edges.ravel(), minlength=total).astype(np.int64)
+    coeffs = 1.0 / np.sqrt(degrees[edges[:, 0]] * degrees[edges[:, 1]])
     return DualGraph(
         layout=layout,
         self_edges=mode,
-        adjacency=adjacency,
+        edges=edges,
+        classes=classes,
+        coeffs=coeffs,
         degrees=degrees,
-        edge_counts={cls: edges.shape[0] for cls, edges in by_class.items()},
     )
-
-
-def class_adjacency_apply(graph: DualGraph, edge_class: EdgeClass, x: np.ndarray) -> np.ndarray:
-    """One normalized aggregation step over a single edge class."""
-    x = np.asarray(x)
-    if x.shape[0] != graph.node_count:
-        raise GraphError(
-            f"input has {x.shape[0]} rows, graph has {graph.node_count} nodes"
-        )
-    return graph.adjacency[edge_class] @ x
 
 
 def edge_table(graph: DualGraph) -> list[tuple[int, int, str, float]]:
     """Flat (src, dst, class, coeff) rows for inspection dumps, src < dst."""
-    rows = []
-    for cls in EdgeClass:
-        matrix = sp.coo_matrix(sp.triu(graph.adjacency[cls]))
-        for src, dst, coeff in zip(matrix.row, matrix.col, matrix.data):
-            rows.append((int(src), int(dst), cls.value, float(coeff)))
-    rows.sort()
-    return rows
+    return sorted(
+        (int(src), int(dst), EDGE_CLASSES[cls].value, float(coeff))
+        for (src, dst), cls, coeff in zip(graph.edges, graph.classes, graph.coeffs)
+    )

@@ -99,14 +99,6 @@ class ModelParams:
     def dim(self) -> int:
         return self.d_e + self.d_t
 
-    def copy(self) -> "ModelParams":
-        return ModelParams(
-            layout=self.layout,
-            embeddings=self.embeddings.copy(),
-            projection=self.projection.copy(),
-            doc_table=self.doc_table,
-        )
-
 
 def node_doc_table(layout: NodeLayout, cand_docs: np.ndarray, job_docs: np.ndarray) -> np.ndarray:
     """Expand per-user document rows to per-node rows for the layout."""
@@ -153,21 +145,20 @@ def node_init(params: ModelParams) -> np.ndarray:
 
 @dataclass
 class PropagatedState:
-    layers: list[np.ndarray]
     z: np.ndarray
+
+
+def check_finite(x: np.ndarray, what: str) -> None:
+    """Raise NumericsError naming the first rows of x that hold inf or NaN."""
+    bad = ~np.isfinite(x)
+    if bad.any():
+        rows = np.flatnonzero(bad.reshape(len(x), -1).any(axis=1))[:5]
+        raise NumericsError(f"non-finite values in {what}, first rows {rows.tolist()}")
 
 
 def propagate(params: ModelParams, graph: DualGraph, variant: VariantConfig) -> PropagatedState:
     """Run L propagation steps and average all layer outputs."""
-    op = graph.operator(variant.omega)
-    layers = [node_init(params)]
-    for depth in range(variant.layers):
-        nxt = op @ layers[-1]
-        if not np.all(np.isfinite(nxt)):
-            raise NumericsError(f"propagation produced non-finite values at layer {depth + 1}")
-        layers.append(nxt)
-    z = sum(layers) / len(layers)
-    return PropagatedState(layers=layers, z=z)
+    return PropagatedState(z=apply_mean_powers(graph, variant, node_init(params)))
 
 
 def apply_mean_powers(graph: DualGraph, variant: VariantConfig, x: np.ndarray) -> np.ndarray:
@@ -179,8 +170,9 @@ def apply_mean_powers(graph: DualGraph, variant: VariantConfig, x: np.ndarray) -
     op = graph.operator(variant.omega)
     acc = x.copy()
     cur = x
-    for _ in range(variant.layers):
+    for depth in range(1, variant.layers + 1):
         cur = op @ cur
+        check_finite(cur, f"propagation layer {depth}")
         acc += cur
     return acc / (variant.layers + 1)
 

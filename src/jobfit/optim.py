@@ -9,6 +9,7 @@ embedding rows and (through the frozen document table) the text projection.
 
 from __future__ import annotations
 
+import os
 import struct
 import zlib
 from dataclasses import dataclass, field
@@ -19,15 +20,15 @@ import numpy as np
 from scipy.special import expit, logsumexp
 
 from .corpus import SplitDataset
-from .errors import CheckpointError, ConfigError, NumericsError, SamplingError, TrainingError
+from .errors import CheckpointError, ConfigError, SamplingError, TrainingError
 from .evaluation import build_eval_instances, evaluate, partner_maps
 from .graph import SELF_EDGE_MODES, DualGraph, NodeLayout
 from .model import (
     ModelParams,
-    PropagatedState,
     VariantConfig,
     apply_mean_powers,
     build_variant_graph,
+    check_finite,
     init_params,
     pair_scores,
     propagate,
@@ -35,8 +36,6 @@ from .model import (
 
 CKPT_MAGIC = b"DPFCKPT1"
 CKPT_VERSION = 1
-
-PROPAGATE_MODES = ("batch", "epoch")
 
 
 @dataclass(frozen=True)
@@ -50,7 +49,6 @@ class TrainConfig:
     tau: float = 0.2
     seed: int = 0
     eval_seed: int = 1
-    propagate_every: str = "batch"
     ssl_negatives: int = 0          # 0 keeps in-batch denominators
     eval_negatives: int = 20
     eval_k: int = 5
@@ -68,10 +66,6 @@ class TrainConfig:
             raise ConfigError(f"patience must be positive, got {self.patience}")
         if self.tau <= 0:
             raise ConfigError(f"tau must be positive, got {self.tau}")
-        if self.propagate_every not in PROPAGATE_MODES:
-            raise ConfigError(
-                f"propagate_every must be one of {PROPAGATE_MODES}, got {self.propagate_every!r}"
-            )
         if self.ssl_negatives < 0:
             raise ConfigError(f"ssl_negatives must be >= 0, got {self.ssl_negatives}")
         if self.eval_negatives <= 0:
@@ -135,23 +129,33 @@ def sample_quadruples(
     return neg_jobs, neg_cands
 
 
+def _main_loss_and_weights(y_pos, y_neg_job, y_neg_cand, quadruple: bool):
+    """Mean quadruple or pairwise ranking loss and its derivatives by each score."""
+    y_pos, y_neg_job, y_neg_cand = (np.asarray(y) for y in (y_pos, y_neg_job, y_neg_cand))
+    batch = y_pos.size
+    if quadruple:
+        x = y_pos - 0.5 * y_neg_job - 0.5 * y_neg_cand
+        dx = (expit(x) - 1.0) / batch
+        return float(np.mean(softplus(-x))), (dx, -0.5 * dx, -0.5 * dx)
+    x1 = y_pos - y_neg_job
+    x2 = y_pos - y_neg_cand
+    dx1 = 0.5 * (expit(x1) - 1.0) / batch
+    dx2 = 0.5 * (expit(x2) - 1.0) / batch
+    return float(np.mean(0.5 * (softplus(-x1) + softplus(-x2)))), (dx1 + dx2, -dx1, -dx2)
+
+
 def quadruple_loss(y_pos, y_neg_job, y_neg_cand) -> float:
     """Mean -log sigmoid(y_pos - y_neg_job/2 - y_neg_cand/2) over the batch."""
-    x = np.asarray(y_pos) - 0.5 * np.asarray(y_neg_job) - 0.5 * np.asarray(y_neg_cand)
-    return float(np.mean(softplus(-x)))
+    return main_loss(y_pos, y_neg_job, y_neg_cand, quadruple=True)
 
 
 def pairwise_bpr_loss(y_pos, y_neg_job, y_neg_cand) -> float:
     """Average of the two one-sided pairwise ranking losses per quadruple."""
-    x1 = np.asarray(y_pos) - np.asarray(y_neg_job)
-    x2 = np.asarray(y_pos) - np.asarray(y_neg_cand)
-    return float(np.mean(0.5 * (softplus(-x1) + softplus(-x2))))
+    return main_loss(y_pos, y_neg_job, y_neg_cand, quadruple=False)
 
 
 def main_loss(y_pos, y_neg_job, y_neg_cand, quadruple: bool = True) -> float:
-    if quadruple:
-        return quadruple_loss(y_pos, y_neg_job, y_neg_cand)
-    return pairwise_bpr_loss(y_pos, y_neg_job, y_neg_cand)
+    return _main_loss_and_weights(y_pos, y_neg_job, y_neg_cand, quadruple)[0]
 
 
 def _side_contrastive(
@@ -246,13 +250,34 @@ def ssl_loss(
         raise ConfigError(f"tau must be positive, got {tau}")
     cand_users = np.asarray(cand_users, dtype=np.int64)
     job_users = np.asarray(job_users, dtype=np.int64)
-    loss_c = _side_contrastive(
-        z, layout.cand_active(cand_users), layout.cand_passive(cand_users), tau
-    )
-    loss_j = _side_contrastive(
-        z, layout.job_active(job_users), layout.job_passive(job_users), tau
-    )
-    return loss_c + loss_j
+    return _contrastive(z, layout, cand_users, job_users, tau)
+
+
+def _contrastive(
+    z: np.ndarray,
+    layout: NodeLayout,
+    cand_users: np.ndarray,
+    job_users: np.ndarray,
+    tau: float,
+    ssl_dens: tuple[np.ndarray, np.ndarray] | None = None,
+    grad_out: np.ndarray | None = None,
+    weight: float = 1.0,
+) -> float:
+    """Candidate-side plus job-side contrastive loss, in-batch or sampled."""
+    loss = 0.0
+    for side, (users, active, passive) in enumerate((
+        (cand_users, layout.cand_active, layout.cand_passive),
+        (job_users, layout.job_active, layout.job_passive),
+    )):
+        if ssl_dens is None:
+            loss += _side_contrastive(z, active(users), passive(users), tau, grad_out, weight)
+        else:
+            dens = ssl_dens[side]
+            loss += _side_contrastive_sampled(
+                z, active(users), passive(users), active(dens), passive(dens),
+                tau, grad_out, weight,
+            )
+    return loss
 
 
 def sample_ssl_denominators(
@@ -277,7 +302,6 @@ class BatchResult:
     loss_ssl: float
     d_embeddings: np.ndarray
     d_projection: np.ndarray
-    state: PropagatedState
 
 
 def _losses_and_score_grads(
@@ -295,23 +319,12 @@ def _losses_and_score_grads(
     _, _, y_pos = pair_scores(z, layout, cands, jobs)
     _, _, y_nj = pair_scores(z, layout, cands, neg_jobs)
     _, _, y_nc = pair_scores(z, layout, neg_cands, jobs)
-    batch = len(cands)
-    if batch == 0:
+    if len(cands) == 0:
         raise TrainingError("empty batch of positive pairs")
 
-    if variant.quadruple_loss:
-        x = y_pos - 0.5 * y_nj - 0.5 * y_nc
-        loss_main = float(np.mean(softplus(-x)))
-        dx = (expit(x) - 1.0) / batch
-        w_pos, w_nj, w_nc = dx, -0.5 * dx, -0.5 * dx
-    else:
-        x1 = y_pos - y_nj
-        x2 = y_pos - y_nc
-        loss_main = float(np.mean(0.5 * (softplus(-x1) + softplus(-x2))))
-        dx1 = 0.5 * (expit(x1) - 1.0) / batch
-        dx2 = 0.5 * (expit(x2) - 1.0) / batch
-        w_pos, w_nj, w_nc = dx1 + dx2, -dx1, -dx2
-
+    loss_main, (w_pos, w_nj, w_nc) = _main_loss_and_weights(
+        y_pos, y_nj, y_nc, variant.quadruple_loss
+    )
     if grad_out is not None:
         for cand_idx, job_idx, w in (
             (cands, jobs, w_pos),
@@ -330,45 +343,9 @@ def _losses_and_score_grads(
 
     loss_ssl = 0.0
     if variant.ssl_weight > 0:
-        if ssl_dens is None:
-            loss_ssl += _side_contrastive(
-                z,
-                layout.cand_active(cand_users),
-                layout.cand_passive(cand_users),
-                tau,
-                grad_out,
-                variant.ssl_weight,
-            )
-            loss_ssl += _side_contrastive(
-                z,
-                layout.job_active(job_users),
-                layout.job_passive(job_users),
-                tau,
-                grad_out,
-                variant.ssl_weight,
-            )
-        else:
-            den_cands, den_jobs = ssl_dens
-            loss_ssl += _side_contrastive_sampled(
-                z,
-                layout.cand_active(cand_users),
-                layout.cand_passive(cand_users),
-                layout.cand_active(den_cands),
-                layout.cand_passive(den_cands),
-                tau,
-                grad_out,
-                variant.ssl_weight,
-            )
-            loss_ssl += _side_contrastive_sampled(
-                z,
-                layout.job_active(job_users),
-                layout.job_passive(job_users),
-                layout.job_active(den_jobs),
-                layout.job_passive(den_jobs),
-                tau,
-                grad_out,
-                variant.ssl_weight,
-            )
+        loss_ssl = _contrastive(
+            z, layout, cand_users, job_users, tau, ssl_dens, grad_out, variant.ssl_weight
+        )
     return loss_main, loss_ssl
 
 
@@ -399,17 +376,9 @@ def batch_gradients(
     job_users: np.ndarray,
     tau: float,
     ssl_dens: tuple[np.ndarray, np.ndarray] | None = None,
-    state: PropagatedState | None = None,
 ) -> BatchResult:
-    """Joint loss and exact gradients for the learnable tensors.
-
-    Passing a precomputed ``state`` reuses stale representations (the
-    once-per-epoch propagation mode); gradients are still taken through the
-    propagation operator, which depends only on the graph.
-    """
-    if state is None:
-        state = propagate(params, graph, variant)
-    z = state.z
+    """Joint loss and exact gradients for the learnable tensors."""
+    z = propagate(params, graph, variant).z
     grad_z = np.zeros_like(z)
     loss_main, loss_ssl = _losses_and_score_grads(
         z, params.layout, variant, quads, cand_users, job_users, tau, ssl_dens, grad_z
@@ -417,9 +386,9 @@ def batch_gradients(
     grad_z0 = apply_mean_powers(graph, variant, grad_z)
     d_embeddings = grad_z0[:, : params.d_e]
     d_projection = grad_z0[:, params.d_e :].T @ params.doc_table
-    if not (np.all(np.isfinite(d_embeddings)) and np.all(np.isfinite(d_projection))):
-        raise NumericsError("non-finite gradients in backward pass")
-    return BatchResult(loss_main, loss_ssl, d_embeddings, d_projection, state)
+    check_finite(d_embeddings, "the embeddings gradient")
+    check_finite(d_projection, "the projection gradient")
+    return BatchResult(loss_main, loss_ssl, d_embeddings, d_projection)
 
 
 @dataclass
@@ -564,7 +533,18 @@ def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
     ):
         blob += np.ascontiguousarray(arr, dtype="<f8").tobytes(order="C")
     blob += struct.pack("<I", zlib.crc32(bytes(blob)) & 0xFFFFFFFF)
-    Path(path).write_bytes(bytes(blob))
+    write_atomic(path, bytes(blob))
+
+
+def write_atomic(path: str | Path, data: bytes) -> None:
+    """Write data through a sibling temporary file, so path is never partial."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.tmp")
+    try:
+        tmp.write_bytes(data)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
@@ -678,10 +658,9 @@ def train(
     """Mini-batch training with early stopping on mean validation MRR.
 
     The graph is built from the training split only. Every epoch shuffles the
-    training matches; each mini-batch refreshes representations (or reuses
-    the epoch's, per ``propagate_every``), samples one negative job and one
-    negative candidate per positive, and takes one Adam step on the joint
-    objective. The checkpoint with the best mean of the two directions'
+    training matches; each mini-batch refreshes representations, samples one
+    negative job and one negative candidate per positive, and takes one Adam
+    step on the joint objective. The checkpoint with the best mean of the two directions'
     validation MRR is returned.
     """
     config.validate()
@@ -710,9 +689,6 @@ def train(
 
     for epoch in range(1, config.max_epochs + 1):
         order = rng.permutation(len(train_matches))
-        epoch_state = (
-            propagate(params, graph, variant) if config.propagate_every == "epoch" else None
-        )
         main_total = 0.0
         ssl_total = 0.0
         batches = 0
@@ -739,7 +715,6 @@ def train(
                 job_users,
                 config.tau,
                 ssl_dens,
-                state=epoch_state,
             )
             adam_step(params, result.d_embeddings, result.d_projection, adam, config.learning_rate)
             main_total += result.loss_main

@@ -6,6 +6,7 @@ import shutil
 import stat
 import subprocess
 import sys
+from dataclasses import fields
 from importlib.metadata import entry_points
 from pathlib import Path
 
@@ -21,11 +22,14 @@ from jobfit.cli import (
     main,
     make_run_config,
     parse_config_file,
+    synthetic_spec_for,
+    train_config_for,
+    variant_for,
     _parse_grid,
 )
-from jobfit.corpus import load_events
+from jobfit.corpus import SyntheticSpec, load_events
 from jobfit.errors import ConfigError
-from jobfit.optim import load_checkpoint
+from jobfit.optim import TrainConfig, load_checkpoint
 
 SYNTH_ARGS = [
     "--set", "n=40", "--set", "m=30", "--set", "d_latent=4", "--set", "d_o=6",
@@ -378,6 +382,19 @@ class TestConfigHandling:
     def test_bad_boundaries_rejected(self):
         with pytest.raises(ConfigError, match="t_valid_start"):
             make_run_config({"t_valid_start": "9", "t_test_start": "9"})
+
+    def test_derived_configs_read_every_shared_field(self):
+        run_fields = {f.name for f in fields(RunConfig)}
+        assert {f.name for f in fields(TrainConfig)} - {"eval_k"} <= run_fields
+        assert {f.name for f in fields(SyntheticSpec)} <= run_fields
+        assert {"ssl_weight", "omega", "layers", "self_edges"} <= run_fields
+        cfg = make_run_config(
+            {"ssl_negatives": "7", "asymmetry": "0.25", "omega": "0.5", "k": "9"}
+        )
+        assert train_config_for(cfg).ssl_negatives == 7
+        assert train_config_for(cfg).eval_k == 9
+        assert synthetic_spec_for(cfg).asymmetry == 0.25
+        assert variant_for(cfg).omega == 0.5
 
     def test_config_hash_stable_and_sensitive(self):
         a = RunConfig()

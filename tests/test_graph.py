@@ -3,12 +3,11 @@
 import numpy as np
 import pytest
 
-from jobfit.errors import ConfigError, GraphError
+from jobfit.errors import ConfigError
 from jobfit.graph import (
     EdgeClass,
     NodeLayout,
     build_graph,
-    class_adjacency_apply,
     edge_table,
 )
 
@@ -146,28 +145,6 @@ class TestOperator:
         graph = build_graph(random_split(rng, 5, 5, 3, 3, 3), 5, 5)
         assert graph.operator(1.0) is graph.operator(1.0)
         assert graph.operator(0.5) is not graph.operator(1.0)
-
-    def test_omega_scales_uni_only(self):
-        split = make_split(matches=[(0, 0)], applies=[(1, 1)])
-        graph = build_graph(split, n=2, m=2, self_edges="off")
-        base = graph.adjacency[EdgeClass.MATCH].toarray()
-        uni = graph.adjacency[EdgeClass.UNI].toarray()
-        for omega in (0.0, 0.3, 2.0):
-            np.testing.assert_allclose(
-                graph.operator(omega).toarray(), base + omega * uni, atol=1e-16
-            )
-
-    def test_class_apply_checks_shape(self, rng):
-        graph = build_graph(make_split(matches=[(0, 0)]), n=2, m=2)
-        with pytest.raises(GraphError, match="rows"):
-            class_adjacency_apply(graph, EdgeClass.MATCH, np.zeros((3, 4)))
-
-    def test_class_apply_equals_matrix_product(self, rng):
-        split = random_split(rng, 6, 6, 4, 5, 5)
-        graph = build_graph(split, 6, 6)
-        x = rng.standard_normal((graph.node_count, 3))
-        got = class_adjacency_apply(graph, EdgeClass.MATCH, x)
-        np.testing.assert_allclose(got, graph.adjacency[EdgeClass.MATCH].toarray() @ x)
 
 
 class TestEdgeTable:

@@ -1,5 +1,7 @@
 """Initialization, hybrid propagation, two-way scoring."""
 
+import re
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -145,7 +147,6 @@ class TestPropagation:
                                     omega=0.7, dual=dual)
                 want = dense_propagate(op, node_init(params), layers)
                 np.testing.assert_allclose(state.z, want, atol=1e-12)
-                assert len(state.layers) == layers + 1
 
     def test_zero_layers_is_identity(self, rng):
         params = tiny_params(rng)
@@ -177,8 +178,11 @@ class TestPropagation:
         params.embeddings[0, 0] = np.inf
         variant = VariantConfig(layers=2)
         graph = build_variant_graph(make_split(matches=[(0, 0)]), 4, 3, variant)
-        with pytest.raises(NumericsError, match="layer 1"):
+        with pytest.raises(NumericsError, match="layer 1") as info:
             propagate(params, graph, variant)
+        named = [int(row) for row in re.findall(r"\d+", str(info.value).split("rows")[-1])]
+        layer_one = graph.operator(variant.omega) @ node_init(params)
+        assert named and not np.isfinite(layer_one[named]).all(axis=1).any()
 
     def test_mean_powers_matches_forward(self, rng):
         n, m = 6, 5
