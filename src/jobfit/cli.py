@@ -21,7 +21,7 @@ import numpy as np
 from . import __version__
 from .corpus import (
     DocTable,
-    EventLog,
+    Kind,
     Side,
     SplitDataset,
     SyntheticSpec,
@@ -30,6 +30,7 @@ from .corpus import (
     load_events,
     split_to_log,
     temporal_split,
+    write_atomic,
     write_doc_embeddings,
     write_events,
     zero_doc_table,
@@ -62,7 +63,6 @@ from .optim import (
     params_from_checkpoint,
     save_checkpoint,
     train,
-    write_atomic,
 )
 
 logger = logging.getLogger(__name__)
@@ -145,7 +145,11 @@ def parse_config_file(path: str | Path) -> dict[str, str]:
     """Read ``key = value`` lines; later keys override earlier ones."""
     values: dict[str, str] = {}
     path = Path(path)
-    for lineno, raw in enumerate(path.read_text(encoding="utf-8").splitlines(), start=1):
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text: {exc.reason}") from exc
+    for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -239,12 +243,10 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
     return make_run_config(pairs)
 
 
-def _load_dataset(cfg: RunConfig) -> tuple[EventLog, SplitDataset]:
+def _load_dataset(cfg: RunConfig) -> SplitDataset:
     if not cfg.log:
         raise ConfigError("no event log configured; pass --log or set log= in the config")
-    log = load_events(cfg.log)
-    dataset = temporal_split(log, cfg.t_valid_start, cfg.t_test_start)
-    return log, dataset
+    return temporal_split(load_events(cfg.log), cfg.t_valid_start, cfg.t_test_start)
 
 
 def _load_docs(cfg: RunConfig, n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -263,8 +265,8 @@ def _load_docs(cfg: RunConfig, n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
     return cand.astype(np.float64), job.astype(np.float64)
 
 
-def _write_tsv(path: Path, comment_lines: list[str], header: str, rows: list[str]) -> None:
-    lines = [f"# {line}" for line in comment_lines] + [header] + rows
+def _write_lines(path: Path, comment_lines: list[str], lines: list[str]) -> None:
+    lines = [f"# {line}" for line in comment_lines] + lines
     write_atomic(path, "".join(line + "\n" for line in lines).encode("utf-8"))
 
 
@@ -293,15 +295,12 @@ def cmd_synth(args: argparse.Namespace) -> int:
     write_doc_embeddings(out_dir / "candidates.emb", cand_table)
     write_doc_embeddings(out_dir / "jobs.emb", job_table)
     manifest = out_dir / "manifest.cfg"
-    with manifest.open("w", encoding="utf-8") as fh:
-        for line in provenance_lines(cfg):
-            fh.write(f"# {line}\n")
-        for key, value in spec.as_dict().items():
-            fh.write(f"{key} = {value}\n")
-    kinds = [ev.kind.value for ev in log.events]
-    print(f"wrote {out_dir}/events.tsv with {len(log.events)} events "
-          f"(apply={kinds.count('apply')} reachout={kinds.count('reachout')} "
-          f"match={kinds.count('match')})")
+    settings = [f"{key} = {value}" for key, value in spec.as_dict().items()]
+    _write_lines(manifest, provenance_lines(cfg), settings)
+    counts = np.bincount(log.kinds, minlength=len(Kind))
+    print(f"wrote {out_dir}/events.tsv with {len(log.kinds)} events "
+          f"(apply={counts[Kind.APPLY]} reachout={counts[Kind.REACHOUT]} "
+          f"match={counts[Kind.MATCH]})")
     print(f"wrote {out_dir}/candidates.emb ({cand_table.count} x {cand_table.dim})")
     print(f"wrote {out_dir}/jobs.emb ({job_table.count} x {job_table.dim})")
     print(f"wrote {manifest}")
@@ -310,7 +309,7 @@ def cmd_synth(args: argparse.Namespace) -> int:
 
 def cmd_split(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
-    _, dataset = _load_dataset(cfg)
+    dataset = _load_dataset(cfg)
     print(f"n={dataset.n} m={dataset.m} "
           f"boundaries: valid>={dataset.t_valid_start} test>={dataset.t_test_start}")
     for name, split in (("train", dataset.train), ("valid", dataset.valid), ("test", dataset.test)):
@@ -335,7 +334,7 @@ def cmd_split(args: argparse.Namespace) -> int:
 
 def cmd_train(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
-    _, dataset = _load_dataset(cfg)
+    dataset = _load_dataset(cfg)
     cand_docs, job_docs = _load_docs(cfg, dataset.n, dataset.m)
     result = train(dataset, cand_docs, job_docs, train_config_for(cfg), variant_for(cfg))
     out_dir = Path(args.out_dir)
@@ -347,11 +346,10 @@ def cmd_train(args: argparse.Namespace) -> int:
         f"\t{h.val_mrr_cand:.17g}\t{h.val_mrr_job:.17g}"
         for h in result.history
     ]
-    _write_tsv(
+    _write_lines(
         out_dir / "history.tsv",
         provenance_lines(cfg),
-        "epoch\tloss_main\tloss_ssl\tval_mrr_cand\tval_mrr_job",
-        rows,
+        ["epoch\tloss_main\tloss_ssl\tval_mrr_cand\tval_mrr_job"] + rows,
     )
     best = result.checkpoint
     print(f"trained {len(result.history)} epochs, best epoch {best.epoch} "
@@ -380,12 +378,12 @@ def _evaluate_checkpoint(
 
 def cmd_eval(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
-    _, dataset = _load_dataset(cfg)
+    dataset = _load_dataset(cfg)
     cand_docs, job_docs = _load_docs(cfg, dataset.n, dataset.m)
     ckpt = load_checkpoint(args.checkpoint)
     ensure_checkpoint_matches(ckpt, dataset.n, dataset.m, variant_for(cfg))
     matches = dataset.test.matches if args.split == "test" else dataset.valid.matches
-    if not matches:
+    if len(matches) == 0:
         raise DataFormatError(f"{args.split} split has no matches to evaluate")
     state, _, instances = _evaluate_checkpoint(cfg, dataset, ckpt, cand_docs, job_docs, matches)
     report = evaluate(state.z, ckpt.layout, instances, k=cfg.k)
@@ -411,7 +409,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     for line in [header] + rows:
         print(line)
     if args.report:
-        _write_tsv(Path(args.report), comments, header, rows)
+        _write_lines(Path(args.report), comments, [header] + rows)
         print(f"wrote {args.report}")
     return 0
 
@@ -437,7 +435,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         raise ConfigError(f"sweep axis must be one of {SWEEP_AXES}, got {axis!r}")
     grid_text = args.grid or cfg.sweep_grid or DEFAULT_GRIDS[axis]
     grid = _parse_grid(axis, grid_text)
-    _, dataset = _load_dataset(cfg)
+    dataset = _load_dataset(cfg)
     cand_docs, job_docs = _load_docs(cfg, dataset.n, dataset.m)
 
     rows = []
@@ -466,14 +464,14 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         f"\tcand_mrr\tjob_recall_at_{cfg.k}\tjob_precision_at_{cfg.k}"
         f"\tjob_ndcg_at_{cfg.k}\tjob_mrr"
     )
-    _write_tsv(Path(args.out), provenance_lines(cfg), header, rows)
+    _write_lines(Path(args.out), provenance_lines(cfg), [header] + rows)
     print(f"wrote {args.out}")
     return 0
 
 
 def cmd_score_pair(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
-    _, dataset = _load_dataset(cfg)
+    dataset = _load_dataset(cfg)
     cand_docs, job_docs = _load_docs(cfg, dataset.n, dataset.m)
     ckpt = load_checkpoint(args.checkpoint)
     ensure_checkpoint_matches(ckpt, dataset.n, dataset.m)
@@ -493,7 +491,7 @@ def cmd_score_pair(args: argparse.Namespace) -> int:
 
 def cmd_inspect_graph(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
-    _, dataset = _load_dataset(cfg)
+    dataset = _load_dataset(cfg)
     graph = build_variant_graph(dataset.train, dataset.n, dataset.m, variant_for(cfg))
     degrees = graph.degrees
     print(f"layout={'dual' if graph.layout.dual else 'single'} nodes={graph.node_count} "
@@ -507,7 +505,8 @@ def cmd_inspect_graph(args: argparse.Namespace) -> int:
         rows = [
             f"{src}\t{dst}\t{cls}\t{coeff:.10g}" for src, dst, cls, coeff in edge_table(graph)
         ]
-        _write_tsv(Path(args.dump_edges), provenance_lines(cfg), "src\tdst\tclass\tcoeff", rows)
+        header = "src\tdst\tclass\tcoeff"
+        _write_lines(Path(args.dump_edges), provenance_lines(cfg), [header] + rows)
         print(f"wrote {args.dump_edges} ({len(rows)} edges)")
     return 0
 
@@ -594,6 +593,9 @@ def main(argv: Sequence[str] | None = None) -> int:
         return 2
     except FileNotFoundError as exc:
         print(f"error: missing file: {exc.filename or exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:
+        print(f"error: {exc}", file=sys.stderr)
         return 2
     except JobfitError as exc:
         print(f"error: {exc}", file=sys.stderr)

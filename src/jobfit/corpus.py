@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import enum
 import logging
+import os
 import re
 import struct
 from dataclasses import dataclass, fields
@@ -31,45 +32,70 @@ _HEADER_RE = re.compile(r"^#n=(\d+)\tm=(\d+)\s*$")
 _TEXT_NOISE = 0.5
 
 
-class Kind(enum.Enum):
-    """Event kind. APPLY is candidate-initiated, REACHOUT job-initiated."""
+class Kind(enum.IntEnum):
+    """Event kind code. APPLY is candidate-initiated, REACHOUT job-initiated."""
 
-    APPLY = "apply"
-    REACHOUT = "reachout"
-    MATCH = "match"
-
-
-_KIND_BY_TOKEN = {k.value: k for k in Kind}
+    APPLY = 0
+    REACHOUT = 1
+    MATCH = 2
 
 
-@dataclass(frozen=True)
-class Event:
-    kind: Kind
-    candidate: int
-    job: int
-    day: int
+# The event-log token of each Kind, indexed by its code.
+KIND_TOKENS = ("apply", "reachout", "match")
+_KIND_BY_TOKEN = {token: code for code, token in enumerate(KIND_TOKENS)}
+_COLUMN_DTYPES = {"kinds": np.int8, "candidates": np.int64, "jobs": np.int64, "days": np.int64}
 
 
 @dataclass(frozen=True)
 class EventLog:
-    """Raw event stream plus the universe sizes from the log header."""
+    """Raw event stream as columns, plus the universe sizes from the log header.
+
+    Event i has kind ``Kind(kinds[i])``, candidate ``candidates[i]`` in
+    [0, n), job ``jobs[i]`` in [0, m) and day ``days[i]``. Columns are stored
+    as int8 kind codes and int64 ids and days, converted on construction.
+    """
 
     n: int
     m: int
-    events: tuple[Event, ...]
+    kinds: np.ndarray
+    candidates: np.ndarray
+    jobs: np.ndarray
+    days: np.ndarray
+
+    def __post_init__(self) -> None:
+        for name, dtype in _COLUMN_DTYPES.items():
+            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=dtype))
+
+
+def pair_rows(pairs: Iterable[tuple[int, int]] | np.ndarray) -> np.ndarray:
+    """(candidate, job) pairs as sorted, duplicate-free (k, 2) int64 rows.
+
+    Rows sort as tuples do, by candidate and then job.
+    """
+    rows = np.asarray(
+        pairs if isinstance(pairs, np.ndarray) else list(pairs), dtype=np.int64
+    ).reshape(-1, 2)
+    width = int(rows[:, 1].max(initial=0)) + 1
+    return np.stack(np.divmod(np.unique(rows[:, 0] * width + rows[:, 1]), width), axis=1)
 
 
 @dataclass(frozen=True)
 class InteractionSplit:
-    """Deduplicated pair sets for one temporal slice, after reconciliation.
+    """Deduplicated pair rows for one temporal slice, after reconciliation.
 
-    All pairs are stored as (candidate, job) regardless of who initiated;
-    ``reachouts`` are job-initiated even though the candidate id comes first.
+    Each field holds sorted, duplicate-free (k, 2) int64 (candidate, job)
+    rows (see ``pair_rows``; any iterable of pairs is accepted and
+    normalized). ``reachouts`` are job-initiated even though the candidate
+    id comes first.
     """
 
-    applies: frozenset[tuple[int, int]]
-    reachouts: frozenset[tuple[int, int]]
-    matches: frozenset[tuple[int, int]]
+    applies: np.ndarray
+    reachouts: np.ndarray
+    matches: np.ndarray
+
+    def __post_init__(self) -> None:
+        for f in fields(self):
+            object.__setattr__(self, f.name, pair_rows(getattr(self, f.name)))
 
     def interaction_count(self) -> int:
         return len(self.applies) + len(self.reachouts) + len(self.matches)
@@ -86,48 +112,66 @@ class SplitDataset:
     t_test_start: int
 
     @property
-    def all_matches(self) -> frozenset[tuple[int, int]]:
-        return self.train.matches | self.valid.matches | self.test.matches
+    def all_matches(self) -> np.ndarray:
+        """Matched pair rows of every split, concatenated split by split."""
+        return np.concatenate([self.train.matches, self.valid.matches, self.test.matches])
 
 
 def load_events(path: str | Path) -> EventLog:
     """Parse an event log TSV, validating ids against the header counts."""
     path = Path(path)
-    with path.open("r", encoding="utf-8") as fh:
-        header = fh.readline()
-        match = _HEADER_RE.match(header)
-        if match is None:
-            raise DataFormatError(
-                f"{path}:1: expected header '#n=<int>\\tm=<int>', got {header!r}"
-            )
-        n, m = int(match.group(1)), int(match.group(2))
-        events = []
-        for lineno, raw in enumerate(fh, start=2):
-            line = raw.rstrip("\n")
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split("\t")
-            if len(parts) != 4:
+    try:
+        with path.open("r", encoding="utf-8") as fh:
+            header = fh.readline()
+            match = _HEADER_RE.match(header)
+            if match is None:
                 raise DataFormatError(
-                    f"{path}:{lineno}: expected 4 tab-separated fields, got {len(parts)}"
+                    f"{path}:1: expected header '#n=<int>\\tm=<int>', got {header!r}"
                 )
-            kind = _KIND_BY_TOKEN.get(parts[0])
-            if kind is None:
-                raise DataFormatError(f"{path}:{lineno}: unknown event kind {parts[0]!r}")
-            try:
-                cand, job, day = int(parts[1]), int(parts[2]), int(parts[3])
-            except ValueError as exc:
-                raise DataFormatError(f"{path}:{lineno}: non-integer field: {exc}") from exc
-            if not 0 <= cand < n:
-                raise DataFormatError(
-                    f"{path}:{lineno}: candidate id {cand} out of range [0, {n})"
-                )
-            if not 0 <= job < m:
-                raise DataFormatError(f"{path}:{lineno}: job id {job} out of range [0, {m})")
-            if day < 0:
-                raise DataFormatError(f"{path}:{lineno}: negative timestamp {day}")
-            events.append(Event(kind, cand, job, day))
-    return EventLog(n=n, m=m, events=tuple(events))
+            n, m = int(match.group(1)), int(match.group(2))
+            kinds, cands, jobs, days = [], [], [], []
+            for lineno, raw in enumerate(fh, start=2):
+                line = raw.rstrip("\n")
+                if not line or line.startswith("#"):
+                    continue
+                parts = line.split("\t")
+                if len(parts) != 4:
+                    raise DataFormatError(
+                        f"{path}:{lineno}: expected 4 tab-separated fields, got {len(parts)}"
+                    )
+                kind = _KIND_BY_TOKEN.get(parts[0])
+                if kind is None:
+                    raise DataFormatError(f"{path}:{lineno}: unknown event kind {parts[0]!r}")
+                try:
+                    cand, job, day = int(parts[1]), int(parts[2]), int(parts[3])
+                except ValueError as exc:
+                    raise DataFormatError(f"{path}:{lineno}: non-integer field: {exc}") from exc
+                if not 0 <= cand < n:
+                    raise DataFormatError(
+                        f"{path}:{lineno}: candidate id {cand} out of range [0, {n})"
+                    )
+                if not 0 <= job < m:
+                    raise DataFormatError(f"{path}:{lineno}: job id {job} out of range [0, {m})")
+                if day < 0:
+                    raise DataFormatError(f"{path}:{lineno}: negative timestamp {day}")
+                kinds.append(kind)
+                cands.append(cand)
+                jobs.append(job)
+                days.append(day)
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(f"{path}: not UTF-8 text: {exc.reason}") from exc
+    return EventLog(n, m, kinds, cands, jobs, days)
+
+
+def write_atomic(path: str | Path, data: bytes) -> None:
+    """Write data through a sibling temporary file, so path is never partial."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.tmp")
+    try:
+        tmp.write_bytes(data)
+        os.replace(tmp, path)
+    finally:
+        tmp.unlink(missing_ok=True)
 
 
 def write_events(
@@ -136,37 +180,19 @@ def write_events(
     comments: Sequence[str] = (),
 ) -> None:
     """Write an event log TSV. ``comments`` go right after the header line."""
-    path = Path(path)
-    with path.open("w", encoding="utf-8") as fh:
-        fh.write(f"#n={log.n}\tm={log.m}\n")
-        for comment in comments:
-            fh.write(f"# {comment}\n")
-        for ev in log.events:
-            fh.write(f"{ev.kind.value}\t{ev.candidate}\t{ev.job}\t{ev.day}\n")
-
-
-def _reconcile_window(events: Iterable[Event]) -> InteractionSplit:
-    # Within one window a Match supersedes the pair's directed events,
-    # and repeated events of one kind for one pair collapse to a single entry.
-    applies: set[tuple[int, int]] = set()
-    reachouts: set[tuple[int, int]] = set()
-    matches: set[tuple[int, int]] = set()
-    for ev in events:
-        pair = (ev.candidate, ev.job)
-        if ev.kind is Kind.APPLY:
-            applies.add(pair)
-        elif ev.kind is Kind.REACHOUT:
-            reachouts.add(pair)
-        else:
-            matches.add(pair)
-    applies -= matches
-    reachouts -= matches
-    return InteractionSplit(frozenset(applies), frozenset(reachouts), frozenset(matches))
+    lines = [f"#n={log.n}\tm={log.m}\n"] + [f"# {comment}\n" for comment in comments]
+    for kind, cand, job, day in zip(
+        log.kinds.tolist(), log.candidates.tolist(), log.jobs.tolist(), log.days.tolist()
+    ):
+        lines.append(f"{KIND_TOKENS[kind]}\t{cand}\t{job}\t{day}\n")
+    write_atomic(path, "".join(lines).encode("utf-8"))
 
 
 def temporal_split(log: EventLog, t_valid_start: int, t_test_start: int) -> SplitDataset:
     """Partition events by timestamp into train/valid/test and reconcile.
 
+    Within one window a match supersedes the pair's directed events, and
+    repeated events of one kind for one pair collapse to a single entry.
     Pairs matched in an earlier window are dropped entirely from later
     windows, so evaluation positives are always previously unseen pairs.
     """
@@ -174,26 +200,20 @@ def temporal_split(log: EventLog, t_valid_start: int, t_test_start: int) -> Spli
         raise ConfigError(
             f"need 0 < t_valid_start < t_test_start, got {t_valid_start}, {t_test_start}"
         )
-    windows: tuple[list[Event], list[Event], list[Event]] = ([], [], [])
-    for ev in log.events:
-        if ev.day < t_valid_start:
-            windows[0].append(ev)
-        elif ev.day < t_test_start:
-            windows[1].append(ev)
-        else:
-            windows[2].append(ev)
+    window = np.searchsorted([t_valid_start, t_test_start], log.days, side="right")
+    keys = log.candidates * log.m + log.jobs
 
     splits = []
-    matched_earlier: set[tuple[int, int]] = set()
-    for window in windows:
-        split = _reconcile_window(window)
-        split = InteractionSplit(
-            applies=split.applies - matched_earlier,
-            reachouts=split.reachouts - matched_earlier,
-            matches=split.matches - matched_earlier,
-        )
-        matched_earlier |= split.matches
-        splits.append(split)
+    matched_earlier = np.empty(0, dtype=np.int64)
+    for w in range(3):
+        in_window = window == w
+        by_kind = [np.unique(keys[in_window & (log.kinds == kind)]) for kind in Kind]
+        matches = np.setdiff1d(by_kind[Kind.MATCH], matched_earlier, assume_unique=True)
+        matched_earlier = np.union1d(matched_earlier, matches)
+        applies = np.setdiff1d(by_kind[Kind.APPLY], matched_earlier, assume_unique=True)
+        reachouts = np.setdiff1d(by_kind[Kind.REACHOUT], matched_earlier, assume_unique=True)
+        rows = [np.stack(np.divmod(k, log.m), axis=1) for k in (applies, reachouts, matches)]
+        splits.append(InteractionSplit(*rows))
 
     train, valid, test = splits
     if train.interaction_count() == 0:
@@ -211,15 +231,11 @@ def temporal_split(log: EventLog, t_valid_start: int, t_test_start: int) -> Spli
 
 def split_to_log(dataset: SplitDataset, split: InteractionSplit, day: int) -> EventLog:
     """Render one reconciled split back into an event log (single timestamp)."""
-    events = []
-    for kind, pairs in (
-        (Kind.APPLY, split.applies),
-        (Kind.REACHOUT, split.reachouts),
-        (Kind.MATCH, split.matches),
-    ):
-        for cand, job in sorted(pairs):
-            events.append(Event(kind, cand, job, day))
-    return EventLog(n=dataset.n, m=dataset.m, events=tuple(events))
+    groups = (split.applies, split.reachouts, split.matches)
+    rows = np.concatenate(groups)
+    kinds = np.repeat([Kind.APPLY, Kind.REACHOUT, Kind.MATCH], [len(g) for g in groups])
+    days = np.full(len(rows), day)
+    return EventLog(dataset.n, dataset.m, kinds, rows[:, 0], rows[:, 1], days)
 
 
 class Side(enum.Enum):
@@ -270,12 +286,9 @@ def load_doc_embeddings(path: str | Path, side: Side, expected_count: int) -> Do
 
 
 def write_doc_embeddings(path: str | Path, table: DocTable) -> None:
-    path = Path(path)
     rows = np.ascontiguousarray(table.rows, dtype="<f4")
-    with path.open("wb") as fh:
-        fh.write(EMBED_MAGIC)
-        fh.write(struct.pack("<II", rows.shape[0], rows.shape[1]))
-        fh.write(rows.tobytes(order="C"))
+    header = EMBED_MAGIC + struct.pack("<II", rows.shape[0], rows.shape[1])
+    write_atomic(path, header + rows.tobytes(order="C"))
 
 
 def zero_doc_table(side: Side, count: int, dim: int) -> DocTable:
@@ -360,7 +373,7 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[EventLog, DocTable, DocTabl
         & (job_intent > spec.match_threshold)
     )
 
-    events: list[Event] = []
+    columns = []
     for kind, mask in (
         (Kind.APPLY, apply_fired & ~matched),
         (Kind.REACHOUT, reach_fired & ~matched),
@@ -368,8 +381,8 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[EventLog, DocTable, DocTabl
     ):
         cands, jobs = np.nonzero(mask)
         days = rng.integers(0, spec.days, size=cands.size)
-        for c, j, d in zip(cands.tolist(), jobs.tolist(), days.tolist()):
-            events.append(Event(kind, c, j, d))
+        columns.append((np.full(cands.size, kind), cands, jobs, days))
+    kinds, cands, jobs, days = (np.concatenate(column) for column in zip(*columns))
 
     # Documents are a fixed random projection of the concatenated latents
     # plus noise, so the text signal is informative but not sufficient.
@@ -381,7 +394,7 @@ def generate_synthetic(spec: SyntheticSpec) -> tuple[EventLog, DocTable, DocTabl
     job_rows = np.hstack([job_active, job_passive]) @ job_proj
     job_rows += _TEXT_NOISE * rng.standard_normal((spec.m, spec.d_o))
 
-    log = EventLog(n=spec.n, m=spec.m, events=tuple(events))
+    log = EventLog(spec.n, spec.m, kinds, cands, jobs, days)
     cand_table = DocTable(Side.CANDIDATE, cand_rows.astype(np.float32))
     job_table = DocTable(Side.JOB, job_rows.astype(np.float32))
     return log, cand_table, job_table

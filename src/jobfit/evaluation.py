@@ -16,7 +16,7 @@ from typing import Iterable, Mapping, Sequence
 import numpy as np
 
 from .errors import DataFormatError, NumericsError, SamplingError
-from .corpus import InteractionSplit
+from .corpus import InteractionSplit, pair_rows
 from .graph import NodeLayout
 from .model import pair_scores
 
@@ -56,7 +56,7 @@ def partner_maps(
     """Matched partners per candidate and per job."""
     by_cand: dict[int, set[int]] = {}
     by_job: dict[int, set[int]] = {}
-    for cand, job in pairs:
+    for cand, job in pair_rows(pairs).tolist():
         by_cand.setdefault(cand, set()).add(job)
         by_job.setdefault(job, set()).add(cand)
     return by_cand, by_job
@@ -89,7 +89,7 @@ def build_eval_instances(
     """
     rng = np.random.default_rng(seed)
     instances: list[EvalInstance] = []
-    for cand, job in sorted(matches):
+    for cand, job in pair_rows(matches).tolist():
         neg_jobs = _sample_negatives(
             rng, m, by_cand.get(cand, set()), num_negatives, f"candidate {cand}"
         )
@@ -187,13 +187,8 @@ def evaluate(
 
 def interaction_counts(split: InteractionSplit, n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
     """Per-user interaction counts in one split, all event kinds together."""
-    cand = np.zeros(n, dtype=np.int64)
-    job = np.zeros(m, dtype=np.int64)
-    for pairs in (split.applies, split.reachouts, split.matches):
-        for c, j in pairs:
-            cand[c] += 1
-            job[j] += 1
-    return cand, job
+    rows = np.concatenate([split.applies, split.reachouts, split.matches])
+    return np.bincount(rows[:, 0], minlength=n), np.bincount(rows[:, 1], minlength=m)
 
 
 def partition_by_mass(counts: np.ndarray, groups: int = 5) -> list[np.ndarray]:

@@ -75,14 +75,6 @@ def _unique_edges(src: np.ndarray, dst: np.ndarray, node_count: int) -> np.ndarr
     return np.stack([keys // node_count, keys % node_count], axis=1)
 
 
-def _pairs_array(pairs) -> tuple[np.ndarray, np.ndarray]:
-    if not pairs:
-        empty = np.empty(0, dtype=np.int64)
-        return empty, empty
-    arr = np.array(sorted(pairs), dtype=np.int64)
-    return arr[:, 0], arr[:, 1]
-
-
 @dataclass
 class DualGraph:
     """Undirected edge list with class codes and shared degree normalization.
@@ -154,9 +146,9 @@ def build_graph(
     layout = NodeLayout(n=n, m=m, dual=dual)
     total = layout.node_count
 
-    mc, mj = _pairs_array(split.matches)
-    ac, aj = _pairs_array(split.applies)
-    rc, rj = _pairs_array(split.reachouts)
+    mc, mj = split.matches.T
+    ac, aj = split.applies.T
+    rc, rj = split.reachouts.T
 
     if dual:
         match_src = np.concatenate([layout.cand_active(mc), layout.job_active(mj)])

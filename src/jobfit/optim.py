@@ -9,7 +9,6 @@ embedding rows and (through the frozen document table) the text projection.
 
 from __future__ import annotations
 
-import os
 import struct
 import zlib
 from dataclasses import dataclass, field
@@ -19,7 +18,7 @@ from typing import Sequence
 import numpy as np
 from scipy.special import expit, logsumexp
 
-from .corpus import SplitDataset
+from .corpus import SplitDataset, write_atomic
 from .errors import CheckpointError, ConfigError, SamplingError, TrainingError
 from .evaluation import build_eval_instances, evaluate, partner_maps
 from .graph import SELF_EDGE_MODES, DualGraph, NodeLayout
@@ -536,17 +535,6 @@ def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
     write_atomic(path, bytes(blob))
 
 
-def write_atomic(path: str | Path, data: bytes) -> None:
-    """Write data through a sibling temporary file, so path is never partial."""
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.tmp")
-    try:
-        tmp.write_bytes(data)
-        os.replace(tmp, path)
-    finally:
-        tmp.unlink(missing_ok=True)
-
-
 def load_checkpoint(path: str | Path) -> Checkpoint:
     path = Path(path)
     blob = path.read_bytes()
@@ -666,10 +654,10 @@ def train(
     config.validate()
     variant.validate()
     n, m = dataset.n, dataset.m
-    train_matches = np.array(sorted(dataset.train.matches), dtype=np.int64)
-    if train_matches.size == 0:
+    train_matches = dataset.train.matches
+    if len(train_matches) == 0:
         raise TrainingError("training split has no matches")
-    if not dataset.valid.matches:
+    if len(dataset.valid.matches) == 0:
         raise TrainingError("validation split has no matches, early stopping is undefined")
 
     graph = build_variant_graph(dataset.train, n, m, variant)

@@ -17,11 +17,34 @@ from jobfit.corpus import InteractionSplit
 
 
 def make_split(applies=(), reachouts=(), matches=()) -> InteractionSplit:
-    return InteractionSplit(
-        applies=frozenset(applies),
-        reachouts=frozenset(reachouts),
-        matches=frozenset(matches),
-    )
+    return InteractionSplit(applies=applies, reachouts=reachouts, matches=matches)
+
+
+def naive_temporal_split(rows, t_valid_start: int, t_test_start: int):
+    """Set-based reference for temporal_split over (kind, cand, job, day) rows.
+
+    Kinds are codes 0 apply, 1 reach-out, 2 match. Returns one
+    {"applies", "reachouts", "matches"} -> set of (cand, job) dict per window.
+    Within a window a match removes the pair's directed events, and a pair
+    matched in an earlier window disappears from later windows.
+    """
+    names = ("applies", "reachouts", "matches")
+    windows = ([], [], [])
+    for kind, cand, job, day in rows:
+        index = 0 if day < t_valid_start else 1 if day < t_test_start else 2
+        windows[index].append((names[kind], int(cand), int(job)))
+    out = []
+    matched_earlier: set[tuple[int, int]] = set()
+    for window in windows:
+        sets = {name: set() for name in names}
+        for name, cand, job in window:
+            sets[name].add((cand, job))
+        sets["applies"] -= sets["matches"]
+        sets["reachouts"] -= sets["matches"]
+        sets = {name: pairs - matched_earlier for name, pairs in sets.items()}
+        matched_earlier |= sets["matches"]
+        out.append(sets)
+    return out
 
 
 def dual_ids(n: int, m: int):

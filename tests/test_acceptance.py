@@ -147,7 +147,7 @@ def test_criterion_03_gradients_match_finite_differences():
     docs_rng = np.random.default_rng(7)
     cand_docs = docs_rng.standard_normal((n, 4))
     job_docs = docs_rng.standard_normal((m, 4))
-    matches = np.array(sorted(split.matches), dtype=np.int64)
+    matches = split.matches
     by_cand, by_job = partner_maps(split.matches)
     neg_jobs, neg_cands = sample_quadruples(
         matches[:, 0], matches[:, 1], by_cand, by_job, n, m, np.random.default_rng(17)

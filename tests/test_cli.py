@@ -123,12 +123,12 @@ class TestSplit:
         valid = load_events(out / "valid.tsv")
         test = load_events(out / "test.tsv")
         full = load_events(workdir["data"] / "events.tsv")
-        assert all(e.day == 0 for e in train.events)
-        assert all(e.day == 20 for e in valid.events)
-        assert all(e.day == 25 for e in test.events)
-        total = len(train.events) + len(valid.events) + len(test.events)
+        assert all(day == 0 for day in train.days)
+        assert all(day == 20 for day in valid.days)
+        assert all(day == 25 for day in test.days)
+        total = len(train.days) + len(valid.days) + len(test.days)
         # reconciliation only ever removes events
-        assert 0 < total <= len(full.events)
+        assert 0 < total <= len(full.days)
 
 
 class TestTrain:
@@ -441,10 +441,21 @@ class TestConfigHandling:
             main([])
         assert exc.value.code == 2
 
-    def test_unreadable_log_path_exits_2(self, capsys):
-        rc = main(["split", "--log", "/nonexistent/events.tsv"])
+    @pytest.mark.parametrize(
+        "case", ["missing", "non-utf8-log", "non-utf8-config", "directory-log"]
+    )
+    def test_unreadable_log_path_exits_2(self, case, tmp_path, capsys):
+        bad = tmp_path / "bad.bin"
+        bad.write_bytes(b"#n=2\tm=2\napply\t0\t0\t\xff\n")
+        args, message = {
+            "missing": (["--log", "/nonexistent/events.tsv"], "missing file"),
+            "non-utf8-log": (["--log", str(bad)], f"{bad}: not UTF-8"),
+            "non-utf8-config": (["--config", str(bad)], f"{bad}: not UTF-8"),
+            "directory-log": (["--log", str(tmp_path)], str(tmp_path)),
+        }[case]
+        rc = main(["split", *args])
         assert rc == 2
-        assert "missing file" in capsys.readouterr().err
+        assert message in capsys.readouterr().err
 
 
 PYPROJECT = Path(__file__).resolve().parents[1] / "pyproject.toml"

@@ -2,6 +2,8 @@
 
 import struct
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,7 +12,6 @@ from hypothesis import strategies as st
 from jobfit.corpus import (
     EMBED_MAGIC,
     DocTable,
-    Event,
     EventLog,
     Kind,
     Side,
@@ -25,33 +26,67 @@ from jobfit.corpus import (
 )
 from jobfit.errors import ConfigError, DataFormatError
 
+from conftest import naive_temporal_split
+
+COLUMNS = (("kinds", np.int8), ("candidates", np.int64), ("jobs", np.int64), ("days", np.int64))
+
 
 def write_log(path, n, m, rows):
     lines = [f"#n={n}\tm={m}"] + rows
     path.write_text("\n".join(lines) + "\n")
 
 
+def make_log(n, m, rows):
+    """EventLog from (kind, candidate, job, day) rows."""
+    return EventLog(n, m, *(list(zip(*rows)) or [()] * len(COLUMNS)))
+
+
+def log_rows(log):
+    return list(zip(*(getattr(log, name).tolist() for name, _ in COLUMNS)))
+
+
+def same_log(a, b) -> bool:
+    """Equal universe sizes, and each column equal in dtype and values."""
+    return (a.n, a.m) == (b.n, b.m) and all(
+        getattr(a, name).dtype == getattr(b, name).dtype == dtype
+        and np.array_equal(getattr(a, name), getattr(b, name))
+        for name, dtype in COLUMNS
+    )
+
+
+def pairs(rows):
+    return {tuple(row) for row in rows.tolist()}
+
+
+@st.composite
+def logs_with_boundaries(draw):
+    """(n, m, rows, t_valid_start, t_test_start) with n, m <= 6 and days 0-30."""
+    n, m = draw(st.integers(1, 6)), draw(st.integers(1, 6))
+    row = st.tuples(
+        st.sampled_from(list(Kind)),
+        st.integers(0, n - 1),
+        st.integers(0, m - 1),
+        st.integers(0, 30),
+    )
+    t_valid = draw(st.integers(1, 30))
+    return n, m, draw(st.lists(row, max_size=60)), t_valid, draw(st.integers(t_valid + 1, 31))
+
+
 class TestLoadEvents:
     def test_roundtrip(self, tmp_path):
-        log = EventLog(
-            n=3,
-            m=2,
-            events=(
-                Event(Kind.APPLY, 0, 1, 0),
-                Event(Kind.REACHOUT, 2, 0, 5),
-                Event(Kind.MATCH, 1, 1, 9),
-            ),
+        log = make_log(
+            3, 2, [(Kind.APPLY, 0, 1, 0), (Kind.REACHOUT, 2, 0, 5), (Kind.MATCH, 1, 1, 9)]
         )
         path = tmp_path / "events.tsv"
         write_events(path, log, comments=["tool=test"])
-        assert load_events(path) == log
+        assert same_log(load_events(path), log)
 
     def test_parses_counts_from_header(self, tmp_path):
         path = tmp_path / "e.tsv"
         write_log(path, 7, 4, ["apply\t6\t3\t0"])
         log = load_events(path)
         assert (log.n, log.m) == (7, 4)
-        assert log.events[0] == Event(Kind.APPLY, 6, 3, 0)
+        assert log_rows(log)[0] == (Kind.APPLY, 6, 3, 0)
 
     def test_missing_header(self, tmp_path):
         path = tmp_path / "e.tsv"
@@ -89,12 +124,12 @@ class TestLoadEvents:
     def test_comment_lines_skipped(self, tmp_path):
         path = tmp_path / "e.tsv"
         write_log(path, 2, 2, ["# provenance", "apply\t0\t0\t0", ""])
-        assert len(load_events(path).events) == 1
+        assert len(load_events(path).kinds) == 1
 
 
 class TestTemporalSplit:
     def events(self, rows):
-        return EventLog(n=4, m=4, events=tuple(Event(*row) for row in rows))
+        return make_log(4, 4, rows)
 
     def test_partitions_by_day(self):
         log = self.events(
@@ -108,11 +143,11 @@ class TestTemporalSplit:
             ]
         )
         ds = temporal_split(log, 10, 15)
-        assert ds.train.applies == {(0, 0), (1, 1)}
-        assert ds.valid.matches == {(2, 2)}
-        assert ds.valid.reachouts == {(3, 3)}
-        assert ds.test.matches == {(0, 1)}
-        assert ds.test.applies == {(1, 2)}
+        assert pairs(ds.train.applies) == {(0, 0), (1, 1)}
+        assert pairs(ds.valid.matches) == {(2, 2)}
+        assert pairs(ds.valid.reachouts) == {(3, 3)}
+        assert pairs(ds.test.matches) == {(0, 1)}
+        assert pairs(ds.test.applies) == {(1, 2)}
 
     def test_match_supersedes_directed_events_in_window(self):
         log = self.events(
@@ -125,9 +160,9 @@ class TestTemporalSplit:
             ]
         )
         ds = temporal_split(log, 10, 11)
-        assert ds.train.matches == {(0, 0)}
-        assert ds.train.applies == {(1, 1)}
-        assert ds.train.reachouts == frozenset()
+        assert pairs(ds.train.matches) == {(0, 0)}
+        assert pairs(ds.train.applies) == {(1, 1)}
+        assert pairs(ds.train.reachouts) == set()
 
     def test_pair_matched_earlier_dropped_from_later_windows(self):
         log = self.events(
@@ -140,40 +175,58 @@ class TestTemporalSplit:
             ]
         )
         ds = temporal_split(log, 10, 15)
-        assert ds.train.matches == {(0, 0)}
-        assert ds.valid.matches == {(1, 1)}
-        assert ds.valid.applies == frozenset()
-        assert ds.test.matches == frozenset()
+        assert pairs(ds.train.matches) == {(0, 0)}
+        assert pairs(ds.valid.matches) == {(1, 1)}
+        assert pairs(ds.valid.applies) == set()
+        assert pairs(ds.test.matches) == set()
 
     def test_splits_are_disjoint_on_matched_pairs(self):
         rng = np.random.default_rng(3)
         events = []
         for _ in range(300):
             kind = [Kind.APPLY, Kind.REACHOUT, Kind.MATCH][rng.integers(0, 3)]
-            events.append(Event(kind, int(rng.integers(0, 4)), int(rng.integers(0, 4)), int(rng.integers(0, 30))))
-        ds = temporal_split(EventLog(4, 4, tuple(events)), 10, 20)
-        assert not (ds.train.matches & ds.valid.matches)
-        assert not (ds.train.matches & ds.test.matches)
-        assert not (ds.valid.matches & ds.test.matches)
+            events.append((kind, int(rng.integers(0, 4)), int(rng.integers(0, 4)), int(rng.integers(0, 30))))
+        ds = temporal_split(make_log(4, 4, events), 10, 20)
+        assert not (pairs(ds.train.matches) & pairs(ds.valid.matches))
+        assert not (pairs(ds.train.matches) & pairs(ds.test.matches))
+        assert not (pairs(ds.valid.matches) & pairs(ds.test.matches))
         for split in (ds.train, ds.valid, ds.test):
-            assert not (split.applies & split.matches)
-            assert not (split.reachouts & split.matches)
+            assert not (pairs(split.applies) & pairs(split.matches))
+            assert not (pairs(split.reachouts) & pairs(split.matches))
 
     def test_resplitting_reconciled_output_is_identity(self):
         rng = np.random.default_rng(4)
         events = []
         for _ in range(200):
             kind = [Kind.APPLY, Kind.REACHOUT, Kind.MATCH][rng.integers(0, 3)]
-            events.append(Event(kind, int(rng.integers(0, 5)), int(rng.integers(0, 5)), int(rng.integers(0, 30))))
-        ds = temporal_split(EventLog(5, 5, tuple(events)), 10, 20)
+            events.append((kind, int(rng.integers(0, 5)), int(rng.integers(0, 5)), int(rng.integers(0, 30))))
+        ds = temporal_split(make_log(5, 5, events), 10, 20)
         merged = (
-            split_to_log(ds, ds.train, 0).events
-            + split_to_log(ds, ds.valid, 10).events
-            + split_to_log(ds, ds.test, 20).events
+            log_rows(split_to_log(ds, ds.train, 0))
+            + log_rows(split_to_log(ds, ds.valid, 10))
+            + log_rows(split_to_log(ds, ds.test, 20))
         )
-        again = temporal_split(EventLog(5, 5, merged), 10, 20)
+        again = temporal_split(make_log(5, 5, merged), 10, 20)
         for first, second in ((ds.train, again.train), (ds.valid, again.valid), (ds.test, again.test)):
-            assert first == second
+            for name in ("applies", "reachouts", "matches"):
+                assert np.array_equal(getattr(first, name), getattr(second, name))
+
+    @given(case=logs_with_boundaries())
+    @settings(max_examples=200, deadline=None)
+    def test_matches_set_oracle(self, case):
+        n, m, rows, t_valid, t_test = case
+        want = naive_temporal_split(rows, t_valid, t_test)
+        log = make_log(n, m, rows)
+        if not any(want[0].values()):
+            with pytest.raises(DataFormatError, match="empty"):
+                temporal_split(log, t_valid, t_test)
+            return
+        ds = temporal_split(log, t_valid, t_test)
+        for split, sets in zip((ds.train, ds.valid, ds.test), want):
+            for name, expected in sets.items():
+                got = getattr(split, name)
+                assert got.dtype == np.int64 and got.shape == (len(expected), 2)
+                assert got.tolist() == [list(pair) for pair in sorted(expected)]
 
     def test_bad_boundaries(self):
         log = self.events([(Kind.MATCH, 0, 0, 0)])
@@ -234,19 +287,45 @@ class TestDocEmbeddings:
         assert np.frombuffer(blob[16:], dtype="<f4").tolist() == [1.5, -2.0, 0.25, 4.0]
 
 
+class TestAtomicWrites:
+    @pytest.mark.parametrize("writer", ["events", "embeddings"])
+    def test_failed_write_keeps_previous_file(self, tmp_path, monkeypatch, writer):
+        def write(path, version):
+            if writer == "events":
+                write_events(path, make_log(3, 2, [(Kind.APPLY, 0, 1, version)]))
+            else:
+                write_doc_embeddings(path, DocTable(Side.JOB, np.full((2, 3), version, np.float32)))
+
+        path = tmp_path / ("events.tsv" if writer == "events" else "jobs.emb")
+        write(path, 1)
+        before = path.read_bytes()
+
+        def write_half_then_fail(self, data):
+            with self.open("wb") as fh:
+                fh.write(data[: len(data) // 2])
+            raise OSError("disk full")
+
+        monkeypatch.setattr(Path, "write_bytes", write_half_then_fail)
+        with pytest.raises(OSError, match="disk full"):
+            write(path, 2)
+        monkeypatch.undo()
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == [path.name]
+
+
 class TestSyntheticGenerator:
     def test_deterministic(self):
         spec = SyntheticSpec(n=30, m=20, d_latent=4, d_o=5, days=20, seed=11)
         log1, cand1, job1 = generate_synthetic(spec)
         log2, cand2, job2 = generate_synthetic(spec)
-        assert log1 == log2
+        assert same_log(log1, log2)
         assert cand1.rows.tobytes() == cand2.rows.tobytes()
         assert job1.rows.tobytes() == job2.rows.tobytes()
 
     def test_seed_changes_output(self):
         base = SyntheticSpec(n=30, m=20, d_latent=4, d_o=5, days=20, seed=11)
         other = SyntheticSpec(n=30, m=20, d_latent=4, d_o=5, days=20, seed=12)
-        assert generate_synthetic(base)[0] != generate_synthetic(other)[0]
+        assert not same_log(generate_synthetic(base)[0], generate_synthetic(other)[0])
 
     def test_shapes_and_ranges(self):
         spec = SyntheticSpec(n=25, m=15, d_latent=4, d_o=6, days=9, seed=0)
@@ -255,10 +334,11 @@ class TestSyntheticGenerator:
         assert cand.rows.shape == (25, 6)
         assert job.rows.shape == (15, 6)
         assert cand.rows.dtype == np.float32
-        for ev in log.events:
-            assert 0 <= ev.candidate < 25
-            assert 0 <= ev.job < 15
-            assert 0 <= ev.day < 9
+        for kind, cand, job, day in log_rows(log):
+            assert 0 <= cand < 25
+            assert 0 <= job < 15
+            assert 0 <= day < 9
+        assert [getattr(log, name).dtype for name, _ in COLUMNS] == [dtype for _, dtype in COLUMNS]
 
     def test_degenerate_threshold_turns_double_fires_into_matches(self):
         # With the threshold at -inf, a pair that fired in both directions
@@ -269,9 +349,9 @@ class TestSyntheticGenerator:
             match_threshold=float("-inf"), asymmetry=0.0, seed=5,
         )
         log, _, _ = generate_synthetic(spec)
-        applies = {(e.candidate, e.job) for e in log.events if e.kind is Kind.APPLY}
-        reachouts = {(e.candidate, e.job) for e in log.events if e.kind is Kind.REACHOUT}
-        matches = {(e.candidate, e.job) for e in log.events if e.kind is Kind.MATCH}
+        applies = {(c, j) for k, c, j, _ in log_rows(log) if k == Kind.APPLY}
+        reachouts = {(c, j) for k, c, j, _ in log_rows(log) if k == Kind.REACHOUT}
+        matches = {(c, j) for k, c, j, _ in log_rows(log) if k == Kind.MATCH}
         assert matches
         assert not (applies & reachouts)
         assert not (applies & matches)
@@ -284,7 +364,7 @@ class TestSyntheticGenerator:
                       apply_rate=0.5, reachout_rate=0.5, match_threshold=0.4, seed=2)
         aligned, _, _ = generate_synthetic(SyntheticSpec(asymmetry=0.0, **common))
         skewed, _, _ = generate_synthetic(SyntheticSpec(asymmetry=1.0, **common))
-        count = lambda log: sum(1 for e in log.events if e.kind is Kind.MATCH)
+        count = lambda log: int(np.sum(log.kinds == Kind.MATCH))
         assert count(aligned) > count(skewed)
 
     @given(

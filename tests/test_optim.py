@@ -274,7 +274,7 @@ class TestContrastive:
         graph = build_variant_graph(split, n, m, variant)
         docs = tiny_docs(n, m)
         params = init_params(graph.layout, 4, 3, *docs, seed=11)
-        pairs = np.array(sorted(split.matches))
+        pairs = split.matches
         quads = (pairs[:, 0], pairs[:, 1], (pairs[:, 0] + 1) % n, (pairs[:, 1] + 1) % m)
         cand_users = np.arange(n)
         job_users = np.arange(m)
@@ -299,7 +299,7 @@ class TestGradients:
         graph = build_variant_graph(split, n, m, variant)
         docs = tiny_docs(n, m)
         params = init_params(graph.layout, 4, 3, *docs, seed=11)
-        pairs = np.array(sorted(split.matches))
+        pairs = split.matches
         cands, jobs = pairs[:, 0], pairs[:, 1]
         quads = (cands, jobs, (cands + 2) % n, (jobs + 2) % m)
         cand_users = np.unique(cands)
