@@ -17,8 +17,8 @@ from jobfit.evaluation import (
     partner_maps,
     sparsity_breakdown,
 )
-from jobfit.model import build_variant_graph, propagate, variant_config
-from jobfit.optim import TrainConfig, params_from_checkpoint, train
+from jobfit.model import variant_config
+from jobfit.optim import TrainConfig, train
 
 spec = SyntheticSpec(n=300, m=240, days=80, apply_rate=0.12, reachout_rate=0.12, seed=5)
 log, cand_docs, job_docs = generate_synthetic(spec)
@@ -52,18 +52,15 @@ for row in result.history:
 best = result.checkpoint
 print(f"best epoch {best.epoch}, mean validation MRR {best.best_metric:.4f}")
 
-# Score the test window with the training graph held fixed.
-graph = build_variant_graph(dataset.train, dataset.n, dataset.m, variant)
-params = params_from_checkpoint(
-    best, cand_docs.rows.astype(np.float64), job_docs.rows.astype(np.float64)
-)
-z = propagate(params, graph, variant).z
+# Score the test window with the best epoch's representations, propagated
+# over the training graph; the checkpoint keeps them as ``z``.
+z = best.z
 by_cand, by_job = partner_maps(dataset.all_matches)
 instances = build_eval_instances(
     dataset.test.matches, by_cand, by_job, dataset.n, dataset.m,
     seed=config.eval_seed, num_negatives=20,
 )
-report = evaluate(z, graph.layout, instances, k=5)
+report = evaluate(z, best.layout, instances, k=5)
 for label, side in (("candidates", report.for_candidates), ("jobs", report.for_jobs)):
     print(
         f"test, ranking for {label:10s}: recall@5={side.recall:.3f} "
@@ -73,7 +70,7 @@ for label, side in (("candidates", report.for_candidates), ("jobs", report.for_j
 # Sparse users are the hard part of two-sided matching; group test anchors
 # by training interaction volume, sparsest fifth first.
 cand_counts, job_counts = interaction_counts(dataset.train, dataset.n, dataset.m)
-groups = sparsity_breakdown(z, graph.layout, instances, cand_counts, job_counts, k=5)
+groups = sparsity_breakdown(z, best.layout, instances, cand_counts, job_counts, k=5)
 print("\ncandidate anchors by training activity (G1 = sparsest):")
 for gi, side in enumerate(groups[Direction.FOR_CANDIDATES], start=1):
     if side.count:

@@ -65,6 +65,7 @@ from .optim import (
     AdamState,
     Checkpoint,
     HistoryRow,
+    InputFingerprint,
     TrainConfig,
     TrainResult,
     adam_step,

@@ -47,20 +47,14 @@ from .evaluation import (
     sparsity_breakdown,
 )
 from .graph import EdgeClass, edge_table
-from .model import (
-    VARIANTS,
-    VariantConfig,
-    build_variant_graph,
-    propagate,
-    score_pair,
-    variant_config,
-)
+from .model import VARIANTS, VariantConfig, build_variant_graph, score_pair, variant_config
 from .optim import (
+    ZERO_TABLE,
     Checkpoint,
+    InputFingerprint,
     TrainConfig,
     ensure_checkpoint_matches,
     load_checkpoint,
-    params_from_checkpoint,
     save_checkpoint,
     train,
 )
@@ -243,10 +237,56 @@ def _load_config(args: argparse.Namespace) -> RunConfig:
     return make_run_config(pairs)
 
 
-def _load_dataset(cfg: RunConfig) -> SplitDataset:
+def _log_path(cfg: RunConfig) -> str:
     if not cfg.log:
         raise ConfigError("no event log configured; pass --log or set log= in the config")
-    return temporal_split(load_events(cfg.log), cfg.t_valid_start, cfg.t_test_start)
+    return cfg.log
+
+
+def _load_dataset(cfg: RunConfig) -> SplitDataset:
+    return temporal_split(load_events(_log_path(cfg)), cfg.t_valid_start, cfg.t_test_start)
+
+
+def _sha256(path: str) -> bytes:
+    return hashlib.sha256(Path(path).read_bytes()).digest()
+
+
+def _input_fingerprint(cfg: RunConfig) -> InputFingerprint:
+    """Digests of the configured event log and document files, and the split boundaries."""
+    return InputFingerprint(
+        log_sha256=_sha256(_log_path(cfg)),
+        t_valid_start=cfg.t_valid_start,
+        t_test_start=cfg.t_test_start,
+        cand_docs_sha256=_sha256(cfg.cand_embeddings) if cfg.cand_embeddings else ZERO_TABLE,
+        job_docs_sha256=_sha256(cfg.job_embeddings) if cfg.job_embeddings else ZERO_TABLE,
+    )
+
+
+def _check_inputs(cfg: RunConfig, ckpt: Checkpoint, path: str) -> None:
+    """Refuse a checkpoint that was trained from other inputs than the configured ones.
+
+    Its stored ``z`` holds only for the log, split and document tables it
+    was trained on.
+    """
+    trained = ckpt.fingerprint
+    if trained is None:
+        raise CheckpointError(f"{path}: records no training inputs; retrain it with jobfit train")
+    configured = _input_fingerprint(cfg)
+    for what, name in (
+        (f"event log {cfg.log}", "log_sha256"),
+        (f"t_valid_start={cfg.t_valid_start}", "t_valid_start"),
+        (f"t_test_start={cfg.t_test_start}", "t_test_start"),
+        (f"candidate documents {cfg.cand_embeddings or '(zero table)'}", "cand_docs_sha256"),
+        (f"job documents {cfg.job_embeddings or '(zero table)'}", "job_docs_sha256"),
+    ):
+        if getattr(configured, name) != getattr(trained, name):
+            raise CheckpointError(f"{path}: {what} differs from the input it was trained on")
+    zero_docs = ZERO_TABLE in (configured.cand_docs_sha256, configured.job_docs_sha256)
+    if zero_docs and cfg.d_o != ckpt.d_o:
+        raise CheckpointError(
+            f"{path}: zero document tables of d_o={cfg.d_o} differ from the d_o={ckpt.d_o} "
+            "it was trained on"
+        )
 
 
 def _load_docs(cfg: RunConfig, n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -336,11 +376,12 @@ def cmd_train(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
     dataset = _load_dataset(cfg)
     cand_docs, job_docs = _load_docs(cfg, dataset.n, dataset.m)
+    fingerprint = _input_fingerprint(cfg)
     result = train(dataset, cand_docs, job_docs, train_config_for(cfg), variant_for(cfg))
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     ckpt_path = out_dir / "checkpoint.bin"
-    save_checkpoint(result.checkpoint, ckpt_path)
+    save_checkpoint(replace(result.checkpoint, fingerprint=fingerprint), ckpt_path)
     rows = [
         f"{h.epoch}\t{h.loss_main:.17g}\t{h.loss_ssl:.17g}"
         f"\t{h.val_mrr_cand:.17g}\t{h.val_mrr_job:.17g}"
@@ -358,35 +399,27 @@ def cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
-def _evaluate_checkpoint(
-    cfg: RunConfig,
-    dataset: SplitDataset,
-    ckpt: Checkpoint,
-    cand_docs: np.ndarray,
-    job_docs: np.ndarray,
-    matches,
-):
-    params = params_from_checkpoint(ckpt, cand_docs, job_docs)
-    graph = build_variant_graph(dataset.train, dataset.n, dataset.m, ckpt.variant)
-    state = propagate(params, graph, ckpt.variant)
+def _evaluate_checkpoint(cfg: RunConfig, dataset: SplitDataset, ckpt: Checkpoint, matches):
+    """Ranking instances for ``matches`` and their report on the checkpoint's ``z``."""
     by_cand, by_job = partner_maps(dataset.all_matches)
     instances = build_eval_instances(
         matches, by_cand, by_job, dataset.n, dataset.m, cfg.eval_seed, cfg.eval_negatives
     )
-    return state, graph, instances
+    return instances, evaluate(ckpt.z, ckpt.layout, instances, k=cfg.k)
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
     dataset = _load_dataset(cfg)
-    cand_docs, job_docs = _load_docs(cfg, dataset.n, dataset.m)
+    # Malformed document tables fail here with their own messages.
+    _load_docs(cfg, dataset.n, dataset.m)
     ckpt = load_checkpoint(args.checkpoint)
+    _check_inputs(cfg, ckpt, args.checkpoint)
     ensure_checkpoint_matches(ckpt, dataset.n, dataset.m, variant_for(cfg))
     matches = dataset.test.matches if args.split == "test" else dataset.valid.matches
     if len(matches) == 0:
         raise DataFormatError(f"{args.split} split has no matches to evaluate")
-    state, _, instances = _evaluate_checkpoint(cfg, dataset, ckpt, cand_docs, job_docs, matches)
-    report = evaluate(state.z, ckpt.layout, instances, k=cfg.k)
+    instances, report = _evaluate_checkpoint(cfg, dataset, ckpt, matches)
 
     comments = provenance_lines(cfg, seed=cfg.eval_seed) + [f"k={cfg.k}", f"split={args.split}"]
     groups = {}
@@ -394,7 +427,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     if args.sparsity_groups:
         cand_counts, job_counts = interaction_counts(dataset.train, dataset.n, dataset.m)
         groups = sparsity_breakdown(
-            state.z, ckpt.layout, instances, cand_counts, job_counts, k=cfg.k
+            ckpt.z, ckpt.layout, instances, cand_counts, job_counts, k=cfg.k
         )
         header = "direction\tgroup\tmetric\tvalue"
     rows = []
@@ -444,10 +477,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         result = train(
             dataset, cand_docs, job_docs, train_config_for(point_cfg), variant_for(point_cfg)
         )
-        state, _, instances = _evaluate_checkpoint(
-            point_cfg, dataset, result.checkpoint, cand_docs, job_docs, dataset.valid.matches
+        _, report = _evaluate_checkpoint(
+            point_cfg, dataset, result.checkpoint, dataset.valid.matches
         )
-        report = evaluate(state.z, result.checkpoint.layout, instances, k=cfg.k)
         fc, fj = report.for_candidates, report.for_jobs
         rows.append(
             f"{value}\t" + "\t".join(
@@ -471,18 +503,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 def cmd_score_pair(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
-    dataset = _load_dataset(cfg)
-    cand_docs, job_docs = _load_docs(cfg, dataset.n, dataset.m)
     ckpt = load_checkpoint(args.checkpoint)
-    ensure_checkpoint_matches(ckpt, dataset.n, dataset.m)
-    if not 0 <= args.candidate < dataset.n:
-        raise ConfigError(f"candidate id {args.candidate} out of range [0, {dataset.n})")
-    if not 0 <= args.job < dataset.m:
-        raise ConfigError(f"job id {args.job} out of range [0, {dataset.m})")
-    params = params_from_checkpoint(ckpt, cand_docs, job_docs)
-    graph = build_variant_graph(dataset.train, dataset.n, dataset.m, ckpt.variant)
-    state = propagate(params, graph, ckpt.variant)
-    r, s, y = score_pair(state.z, ckpt.layout, args.candidate, args.job)
+    _check_inputs(cfg, ckpt, args.checkpoint)
+    if not 0 <= args.candidate < ckpt.n:
+        raise ConfigError(f"candidate id {args.candidate} out of range [0, {ckpt.n})")
+    if not 0 <= args.job < ckpt.m:
+        raise ConfigError(f"job id {args.job} out of range [0, {ckpt.m})")
+    r, s, y = score_pair(ckpt.z, ckpt.layout, args.candidate, args.job)
     print(f"candidate_to_job={r:.6f}")
     print(f"job_to_candidate={s:.6f}")
     print(f"combined={y:.6f}")

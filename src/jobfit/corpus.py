@@ -44,15 +44,20 @@ class Kind(enum.IntEnum):
 KIND_TOKENS = ("apply", "reachout", "match")
 _KIND_BY_TOKEN = {token: code for code, token in enumerate(KIND_TOKENS)}
 _COLUMN_DTYPES = {"kinds": np.int8, "candidates": np.int64, "jobs": np.int64, "days": np.int64}
+_COLUMN_VALUES = {
+    "kinds": "kind code", "candidates": "candidate id", "jobs": "job id", "days": "day"
+}
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EventLog:
     """Raw event stream as columns, plus the universe sizes from the log header.
 
     Event i has kind ``Kind(kinds[i])``, candidate ``candidates[i]`` in
-    [0, n), job ``jobs[i]`` in [0, m) and day ``days[i]``. Columns are stored
-    as int8 kind codes and int64 ids and days, converted on construction.
+    [0, n), job ``jobs[i]`` in [0, m) and day ``days[i]`` >= 0. Columns are
+    stored as int8 kind codes and int64 ids and days, converted and
+    range-checked on construction (``DataFormatError`` names the first bad
+    event). Equality is identity; compare columns with ``np.array_equal``.
     """
 
     n: int
@@ -63,8 +68,16 @@ class EventLog:
     days: np.ndarray
 
     def __post_init__(self) -> None:
+        upper = {"kinds": len(Kind), "candidates": self.n, "jobs": self.m, "days": np.inf}
         for name, dtype in _COLUMN_DTYPES.items():
-            object.__setattr__(self, name, np.asarray(getattr(self, name), dtype=dtype))
+            column = np.asarray(getattr(self, name))
+            bad = (column < 0) | (column >= upper[name])
+            if bad.any():
+                i = int(np.argmax(bad))
+                raise DataFormatError(
+                    f"event {i}: {_COLUMN_VALUES[name]} {column[i]} out of range [0, {upper[name]})"
+                )
+            object.__setattr__(self, name, column.astype(dtype, copy=False))
 
 
 def pair_rows(pairs: Iterable[tuple[int, int]] | np.ndarray) -> np.ndarray:
@@ -79,14 +92,14 @@ def pair_rows(pairs: Iterable[tuple[int, int]] | np.ndarray) -> np.ndarray:
     return np.stack(np.divmod(np.unique(rows[:, 0] * width + rows[:, 1]), width), axis=1)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class InteractionSplit:
     """Deduplicated pair rows for one temporal slice, after reconciliation.
 
     Each field holds sorted, duplicate-free (k, 2) int64 (candidate, job)
     rows (see ``pair_rows``; any iterable of pairs is accepted and
     normalized). ``reachouts`` are job-initiated even though the candidate
-    id comes first.
+    id comes first. Equality is identity, as for ``EventLog``.
     """
 
     applies: np.ndarray
@@ -101,7 +114,7 @@ class InteractionSplit:
         return len(self.applies) + len(self.reachouts) + len(self.matches)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class SplitDataset:
     n: int
     m: int

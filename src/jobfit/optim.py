@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import struct
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 from pathlib import Path
 from typing import Sequence
 
@@ -34,7 +34,10 @@ from .model import (
 )
 
 CKPT_MAGIC = b"DPFCKPT1"
-CKPT_VERSION = 1
+CKPT_VERSION = 2
+# Marks a document table that had no file: the all-zero fallback of width d_o.
+ZERO_TABLE = bytes(32)
+_FINGERPRINT = struct.Struct("<?32s2q32s32s")
 
 
 @dataclass(frozen=True)
@@ -443,8 +446,31 @@ def adam_step(
         value -= lr * m_hat / (np.sqrt(v_hat) + eps)
 
 
+@dataclass(frozen=True)
+class InputFingerprint:
+    """The inputs a checkpoint was trained from.
+
+    Digests are sha256 of the file bytes; ``ZERO_TABLE`` stands for a
+    document table without a file, the zero fallback of the checkpoint's
+    ``d_o`` columns.
+    """
+
+    log_sha256: bytes
+    t_valid_start: int
+    t_test_start: int
+    cand_docs_sha256: bytes
+    job_docs_sha256: bytes
+
+
 @dataclass
 class Checkpoint:
+    """Trained parameters, optimizer state and the best epoch's final table ``z``.
+
+    ``z`` is ``propagate`` of the stored parameters over the training graph,
+    so reads score pairs from it directly. ``fingerprint`` is ``None`` until
+    the caller that knows the input files sets it.
+    """
+
     n: int
     m: int
     d_e: int
@@ -456,6 +482,8 @@ class Checkpoint:
     adam: AdamState
     epoch: int
     best_metric: float
+    z: np.ndarray
+    fingerprint: InputFingerprint | None = None
 
     @property
     def layout(self) -> NodeLayout:
@@ -468,7 +496,9 @@ def checkpoint_from(
     variant: VariantConfig,
     epoch: int,
     best_metric: float,
+    z: np.ndarray,
 ) -> Checkpoint:
+    """Snapshot of the parameters and Adam state; ``z`` is kept, not copied."""
     layout = params.layout
     return Checkpoint(
         n=layout.n,
@@ -482,6 +512,7 @@ def checkpoint_from(
         adam=adam.copy(),
         epoch=epoch,
         best_metric=best_metric,
+        z=z,
     )
 
 
@@ -517,11 +548,14 @@ def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
         variant.layers,
     )
     tail = struct.pack("<IdQ", ckpt.epoch, ckpt.best_metric, ckpt.adam.step)
+    fp = ckpt.fingerprint
+    fp_fields = astuple(fp) if fp is not None else (ZERO_TABLE, 0, 0, ZERO_TABLE, ZERO_TABLE)
     blob = bytearray()
     blob += CKPT_MAGIC
     blob += struct.pack("<I", CKPT_VERSION)
     blob += head
     blob += tail
+    blob += _FINGERPRINT.pack(fp is not None, *fp_fields)
     for arr in (
         ckpt.embeddings,
         ckpt.projection,
@@ -529,15 +563,16 @@ def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
         ckpt.adam.v_embeddings,
         ckpt.adam.m_projection,
         ckpt.adam.v_projection,
+        ckpt.z,
     ):
         blob += np.ascontiguousarray(arr, dtype="<f8").tobytes(order="C")
-    blob += struct.pack("<I", zlib.crc32(bytes(blob)) & 0xFFFFFFFF)
-    write_atomic(path, bytes(blob))
+    blob += struct.pack("<I", zlib.crc32(blob) & 0xFFFFFFFF)
+    write_atomic(path, blob)
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
     path = Path(path)
-    blob = path.read_bytes()
+    blob = memoryview(path.read_bytes())
     if len(blob) < len(CKPT_MAGIC) + 4:
         raise CheckpointError(f"{path}: truncated checkpoint")
     if blob[: len(CKPT_MAGIC)] != CKPT_MAGIC:
@@ -549,13 +584,18 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     (version,) = struct.unpack_from("<I", blob, offset)
     offset += 4
     if version != CKPT_VERSION:
-        raise CheckpointError(f"{path}: unsupported checkpoint version {version}")
+        raise CheckpointError(
+            f"{path}: unsupported checkpoint version {version} (this jobfit reads version "
+            f"{CKPT_VERSION}); retrain it with jobfit train"
+        )
     head = struct.unpack_from("<6I4B2dI", blob, offset)
     offset += struct.calcsize("<6I4B2dI")
     n, m, d_e, d_t, d_o, node_count, dual, quad, self_idx, _pad = head[:10]
     ssl_weight, omega, layers = head[10], head[11], head[12]
     epoch, best_metric, adam_steps = struct.unpack_from("<IdQ", blob, offset)
     offset += struct.calcsize("<IdQ")
+    has_fingerprint, *fingerprint = _FINGERPRINT.unpack_from(blob, offset)
+    offset += _FINGERPRINT.size
     if not 0 <= self_idx < len(SELF_EDGE_MODES):
         raise CheckpointError(f"{path}: invalid self-edge mode index {self_idx}")
     variant = VariantConfig(
@@ -580,6 +620,7 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         (node_count, d_e),
         (d_t, d_o),
         (d_t, d_o),
+        (node_count, d_e + d_t),
     ]
     tensor_bytes = sum(8 * a * b for a, b in shapes)
     if len(blob) - offset - 4 != tensor_bytes:
@@ -591,7 +632,7 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
             np.frombuffer(blob[offset : offset + size], dtype="<f8").reshape(rows, cols).copy()
         )
         offset += size
-    emb, proj, m_e, v_e, m_p, v_p = arrays
+    emb, proj, m_e, v_e, m_p, v_p, z = arrays
     adam = AdamState(m_e, v_e, m_p, v_p, step=int(adam_steps))
     return Checkpoint(
         n=int(n),
@@ -605,6 +646,8 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         adam=adam,
         epoch=int(epoch),
         best_metric=float(best_metric),
+        z=z,
+        fingerprint=InputFingerprint(*fingerprint) if has_fingerprint else None,
     )
 
 
@@ -649,7 +692,7 @@ def train(
     training matches; each mini-batch refreshes representations, samples one
     negative job and one negative candidate per positive, and takes one Adam
     step on the joint objective. The checkpoint with the best mean of the two directions'
-    validation MRR is returned.
+    validation MRR is returned, holding the ``z`` that validation scored.
     """
     config.validate()
     variant.validate()
@@ -670,8 +713,7 @@ def train(
     )
 
     rng = np.random.default_rng(config.seed)
-    best = checkpoint_from(params, adam, variant, epoch=0, best_metric=float("nan"))
-    best_metric: float | None = None
+    best: Checkpoint | None = None
     epochs_since_best = 0
     history: list[HistoryRow] = []
 
@@ -721,13 +763,15 @@ def train(
                 val_mrr_job=report.for_jobs.mrr,
             )
         )
-        if best_metric is None or metric > best_metric:
-            best_metric = metric
+        if best is None or metric > best.best_metric:
             epochs_since_best = 0
-            best = checkpoint_from(params, adam, variant, epoch=epoch, best_metric=metric)
+            best = checkpoint_from(params, adam, variant, epoch, metric, val_state.z)
         else:
             epochs_since_best += 1
             if epochs_since_best >= config.patience:
                 break
 
+    if best is None:  # max_epochs == 0: the initial parameters
+        z = propagate(params, graph, variant).z
+        best = checkpoint_from(params, adam, variant, 0, float("nan"), z)
     return TrainResult(checkpoint=best, history=history)

@@ -4,9 +4,11 @@ import logging
 import os
 import shutil
 import stat
+import struct
 import subprocess
 import sys
-from dataclasses import fields
+import zlib
+from dataclasses import fields, replace
 from importlib.metadata import entry_points
 from pathlib import Path
 
@@ -29,7 +31,7 @@ from jobfit.cli import (
 )
 from jobfit.corpus import SyntheticSpec, load_events
 from jobfit.errors import ConfigError
-from jobfit.optim import TrainConfig, load_checkpoint
+from jobfit.optim import TrainConfig, load_checkpoint, save_checkpoint
 
 SYNTH_ARGS = [
     "--set", "n=40", "--set", "m=30", "--set", "d_latent=4", "--set", "d_o=6",
@@ -313,6 +315,104 @@ class TestScorePair:
         )
         assert rc == 2
         assert "out of range" in capsys.readouterr().err
+
+    def test_reads_the_stored_z_without_graph_work(self, workdir, capsys, monkeypatch):
+        args = ["score-pair", "--config", str(workdir["config"]),
+                "--checkpoint", str(workdir["run"] / "checkpoint.bin"),
+                "--candidate", "7", "--job", "2"]
+        assert main(args) == 0
+        expected = capsys.readouterr().out
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("score-pair rebuilt state from the event log")
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("jobfit."):
+                for attr in ("load_events", "temporal_split", "build_graph", "propagate"):
+                    if hasattr(module, attr):
+                        monkeypatch.setattr(module, attr, refuse)
+        assert main(args) == 0
+        assert capsys.readouterr().out == expected
+
+
+def _changed_log(workdir, tmp_path):
+    """events.tsv with one event moved to another day; n and m unchanged."""
+    lines = (workdir["data"] / "events.tsv").read_text().splitlines()
+    idx = next(i for i, line in enumerate(lines) if not line.startswith("#"))
+    kind, cand, job, day = lines[idx].split("\t")
+    lines[idx] = "\t".join([kind, cand, job, str((int(day) + 1) % 30)])
+    path = tmp_path / "events.tsv"
+    path.write_text("\n".join(lines) + "\n")
+    return ["--set", f"log={path}"], str(path)
+
+
+def _changed_docs(workdir, tmp_path):
+    blob = bytearray((workdir["data"] / "candidates.emb").read_bytes())
+    blob[-1] ^= 0x01
+    path = tmp_path / "candidates.emb"
+    path.write_bytes(bytes(blob))
+    return ["--set", f"cand_embeddings={path}"], str(path)
+
+
+def _shifted_boundary(workdir, tmp_path):
+    return ["--set", "t_valid_start=21"], "t_valid_start=21"
+
+
+def _zero_job_docs(workdir, tmp_path):
+    return ["--set", "job_embeddings="], "job documents (zero table)"
+
+
+class TestTrainingInputs:
+    """A checkpoint answers only for the inputs it was trained on."""
+
+    @pytest.mark.parametrize("command", ["score-pair", "eval"])
+    @pytest.mark.parametrize(
+        "change", [_changed_log, _changed_docs, _shifted_boundary, _zero_job_docs],
+        ids=["log-line", "emb-bytes", "boundary", "zero-table"],
+    )
+    def test_changed_input_exits_2_naming_it(self, workdir, tmp_path, capsys, command, change):
+        extra, named = change(workdir, tmp_path)
+        ckpt = str(workdir["run"] / "checkpoint.bin")
+        if command == "score-pair":
+            tail = ["--candidate", "1", "--job", "1"]
+        else:
+            tail = ["--split", "valid"]
+        rc = main([command, "--config", str(workdir["config"]), *extra,
+                   "--checkpoint", ckpt, *tail])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert ckpt in err and named in err and "differs" in err
+
+    def test_version_1_file_exits_2_with_retrain_hint(self, workdir, tmp_path, capsys):
+        blob = bytearray((workdir["run"] / "checkpoint.bin").read_bytes())
+        struct.pack_into("<I", blob, 8, 1)
+        body = bytes(blob[:-4])
+        path = tmp_path / "v1.bin"
+        path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+        rc = main(["score-pair", "--config", str(workdir["config"]), "--checkpoint", str(path),
+                   "--candidate", "1", "--job", "1"])
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "version 1" in err and "retrain" in err
+
+    def test_zero_tables_of_another_width_exit_2(self, workdir, tmp_path, capsys):
+        no_docs = ["--config", str(workdir["config"]), "--set", "cand_embeddings=",
+                   "--set", "job_embeddings=", "--set", "max_epochs=1"]
+        assert main(["train", *no_docs, "--out-dir", str(tmp_path)]) == 0
+        query = ["--checkpoint", str(tmp_path / "checkpoint.bin"), "--candidate", "1", "--job", "1"]
+        assert main(["score-pair", *no_docs, *query]) == 0
+        capsys.readouterr()
+        assert main(["score-pair", *no_docs, "--set", "d_o=5", *query]) == 2
+        assert "zero document tables of d_o=5" in capsys.readouterr().err
+
+    def test_checkpoint_without_fingerprint_exits_2(self, workdir, tmp_path, capsys):
+        path = tmp_path / "bare.bin"
+        ckpt = load_checkpoint(workdir["run"] / "checkpoint.bin")
+        save_checkpoint(replace(ckpt, fingerprint=None), path)
+        rc = main(["score-pair", "--config", str(workdir["config"]), "--checkpoint", str(path),
+                   "--candidate", "1", "--job", "1"])
+        assert rc == 2
+        assert "retrain" in capsys.readouterr().err
 
 
 class TestInspectGraph:

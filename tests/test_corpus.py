@@ -127,6 +127,32 @@ class TestLoadEvents:
         assert len(load_events(path).kinds) == 1
 
 
+class TestEventLogColumns:
+    @pytest.mark.parametrize(
+        "columns, message",
+        [
+            (([2], [0], [3], [0]), "event 0: job id 3 out of range"),
+            (([0, 2], [0, 2], [1, 1], [0, 4]), "event 1: candidate id 2 out of range"),
+            (([3], [0], [0], [0]), "kind code 3 out of range"),
+            (([0], [0], [0], [-1]), "day -1 out of range"),
+        ],
+    )
+    def test_out_of_range_columns_rejected(self, columns, message):
+        with pytest.raises(DataFormatError, match=message):
+            EventLog(2, 2, *columns)
+
+    def test_out_of_range_job_no_longer_aliases_in_split(self):
+        # the key 0*2 + 3 would decode as the pair (1, 1)
+        with pytest.raises(DataFormatError, match="job id 3"):
+            temporal_split(EventLog(2, 2, [2], [0], [3], [0]), 5, 9)
+
+    def test_equality_is_identity_and_hashable(self):
+        ds = temporal_split(make_log(2, 2, [(Kind.MATCH, 0, 1, 0), (Kind.APPLY, 1, 0, 6)]), 5, 9)
+        for value in (make_log(2, 2, [(Kind.APPLY, 0, 1, 0)]), ds.train, ds):
+            assert value == value
+            assert hash(value) == hash(value)
+
+
 class TestTemporalSplit:
     def events(self, rows):
         return make_log(4, 4, rows)

@@ -13,6 +13,7 @@ from jobfit.graph import NodeLayout
 from jobfit.model import VariantConfig, build_variant_graph, init_params, node_init, propagate
 from jobfit.optim import (
     AdamState,
+    InputFingerprint,
     TrainConfig,
     adam_step,
     batch_gradients,
@@ -391,14 +392,16 @@ class TestAdam:
 
 
 class TestCheckpointIO:
-    def roundtrip(self, tmp_path, variant):
+    def roundtrip(self, tmp_path, variant, fingerprint=None):
         layout = NodeLayout(3, 2, variant.dual_graph)
         docs = tiny_docs(3, 2)
         params = init_params(layout, 4, 3, *docs, seed=2)
         adam = AdamState.zeros(params)
         adam.step = 17
         adam.m_embeddings += 0.25
-        ckpt = checkpoint_from(params, adam, variant, epoch=9, best_metric=0.375)
+        z = np.random.default_rng(3).standard_normal((layout.node_count, 7))
+        ckpt = checkpoint_from(params, adam, variant, epoch=9, best_metric=0.375, z=z)
+        ckpt.fingerprint = fingerprint
         path = tmp_path / "model.ckpt"
         save_checkpoint(ckpt, path)
         return ckpt, load_checkpoint(path), path
@@ -414,6 +417,13 @@ class TestCheckpointIO:
         np.testing.assert_array_equal(loaded.projection, ckpt.projection)
         np.testing.assert_array_equal(loaded.adam.m_embeddings, ckpt.adam.m_embeddings)
         np.testing.assert_array_equal(loaded.adam.v_projection, ckpt.adam.v_projection)
+        assert loaded.z.tobytes() == ckpt.z.tobytes()
+        assert loaded.fingerprint is None
+
+    def test_fingerprint_roundtrip(self, tmp_path):
+        fingerprint = InputFingerprint(bytes(range(32)), 70, 88, bytes(32), b"\xab" * 32)
+        _, loaded, _ = self.roundtrip(tmp_path, VariantConfig(), fingerprint)
+        assert loaded.fingerprint == fingerprint
 
     def test_single_layout_roundtrip(self, tmp_path):
         variant = VariantConfig(dual_graph=False, self_edges="off")
@@ -482,6 +492,17 @@ class TestCheckpointIO:
         body = bytes(blob[:-4])
         path.write_bytes(body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF))
         with pytest.raises(CheckpointError, match="version 99"):
+            load_checkpoint(path)
+
+    def test_version_1_asks_for_retraining(self, tmp_path):
+        import zlib
+
+        _, _, path = self.roundtrip(tmp_path, VariantConfig())
+        blob = bytearray(path.read_bytes())
+        struct.pack_into("<I", blob, 8, 1)
+        body = bytes(blob[:-4])
+        path.write_bytes(body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF))
+        with pytest.raises(CheckpointError, match="version 1 .*retrain"):
             load_checkpoint(path)
 
     def test_params_from_checkpoint_checks_doc_dim(self, tmp_path, rng):
@@ -590,6 +611,30 @@ class TestTrainLoop:
         )
         with pytest.raises(TrainingError, match="validation split"):
             train(no_valid, *docs, small_config(), VariantConfig())
+
+    @pytest.mark.parametrize(
+        "variant, max_epochs",
+        [
+            (VariantConfig(), 3),
+            (VariantConfig(dual_graph=False, self_edges="off", layers=2), 3),
+            (VariantConfig(layers=0), 3),
+            (VariantConfig(layers=2), 0),
+        ],
+        ids=["full", "no-dpg", "layers=0", "max_epochs=0"],
+    )
+    def test_stored_z_is_propagate_of_stored_params(self, tmp_path, variant, max_epochs):
+        ds = tiny_dataset()
+        docs = tiny_docs(ds.n, ds.m)
+        result = train(ds, *docs, small_config(max_epochs=max_epochs), variant)
+        path = tmp_path / "trained.ckpt"
+        save_checkpoint(result.checkpoint, path)
+        ckpt = load_checkpoint(path)
+        assert ckpt.epoch == result.checkpoint.epoch
+        graph = build_variant_graph(ds.train, ds.n, ds.m, ckpt.variant)
+        z = propagate(params_from_checkpoint(ckpt, *docs), graph, ckpt.variant).z
+        assert ckpt.z.dtype == np.float64
+        assert ckpt.z.tobytes() == z.tobytes()
+        assert result.checkpoint.z.tobytes() == z.tobytes()
 
     def test_checkpoint_roundtrips_after_training(self, tmp_path):
         ds = tiny_dataset()
