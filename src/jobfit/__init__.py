@@ -38,7 +38,8 @@ from .errors import (
 from .evaluation import (
     Direction,
     DirectionReport,
-    EvalInstance,
+    InstanceArrays,
+    PartnerLists,
     RankingReport,
     build_eval_instances,
     evaluate,

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
@@ -24,14 +25,6 @@ from .model import pair_scores
 class Direction(enum.Enum):
     FOR_CANDIDATES = "candidates"   # rank jobs for a candidate anchor
     FOR_JOBS = "jobs"               # rank candidates for a job anchor
-
-
-@dataclass(frozen=True)
-class EvalInstance:
-    direction: Direction
-    anchor: int
-    positive: int
-    negatives: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -50,59 +43,140 @@ class RankingReport:
     for_jobs: DirectionReport
 
 
+@dataclass(frozen=True, eq=False)
+class PartnerLists:
+    """Every user's matched partners in CSR form, ascending within each user.
+
+    User ``u``'s partners are ``ids[indptr[u]:indptr[u + 1]]``; users at or
+    past ``len(indptr) - 1`` have none.
+    """
+
+    indptr: np.ndarray
+    ids: np.ndarray
+
+    @classmethod
+    def from_sorted(cls, users: np.ndarray, partners: np.ndarray) -> "PartnerLists":
+        """Lists from pairs already sorted by user, then by partner."""
+        return cls(np.concatenate(([0], np.cumsum(np.bincount(users)))), partners)
+
+    def __getitem__(self, user: int) -> np.ndarray:
+        if user + 1 >= len(self.indptr):
+            return self.ids[:0]
+        return self.ids[self.indptr[user] : self.indptr[user + 1]]
+
+    def _owners(self) -> np.ndarray:
+        """The user each stored partner belongs to."""
+        return np.repeat(np.arange(len(self.indptr) - 1), np.diff(self.indptr))
+
+    @cached_property
+    def pair_keys(self) -> tuple[int, frozenset[int]]:
+        """``(width, {user · width + partner})``, ``width`` one past the largest partner id.
+
+        Built on first use, for membership tests one draw at a time.
+        """
+        width = int(self.ids.max(initial=-1)) + 1
+        return width, frozenset((self._owners() * width + self.ids).tolist())
+
+    def contains(self, users: np.ndarray, partners: np.ndarray) -> np.ndarray:
+        """Whether ``partners[i]`` is among ``users[i]``'s partners."""
+        width = int(max(self.ids.max(initial=-1), partners.max(initial=-1))) + 1
+        return np.isin(users * width + partners, self._owners() * width + self.ids)
+
+    def skip_partners(self, users: np.ndarray, ranks: np.ndarray, universe: int) -> np.ndarray:
+        """The ``ranks[i, j]``-th id in ``[0, universe)`` that is not a partner of ``users[i]``.
+
+        A partner minus its rank within its user's list counts the
+        non-partners below it, so a rank moves up by one for every partner
+        whose count is at most the rank. One ``searchsorted`` over
+        ``user · universe + count`` keys does this for all users at once.
+        Every user must have a list, and every partner id must be below
+        ``universe``.
+        """
+        owners = self._owners()
+        below = self.ids - (np.arange(self.ids.size) - self.indptr[owners])
+        keys = owners * universe + below
+        passed = np.searchsorted(keys, users[:, None] * universe + ranks, side="right")
+        return ranks + passed - self.indptr[users][:, None]
+
+
+@dataclass(frozen=True, eq=False)
+class InstanceArrays:
+    """One direction's ranking instances: row ``i`` ranks ``items[i]`` for ``anchors[i]``.
+
+    ``anchors`` is (k,) and ``items`` (k, 1 + negatives) int64. Column 0 of
+    ``items`` is the positive; the rest are the sampled negatives in draw order.
+    """
+
+    anchors: np.ndarray
+    items: np.ndarray
+
+
 def partner_maps(
-    pairs: Iterable[tuple[int, int]],
-) -> tuple[dict[int, set[int]], dict[int, set[int]]]:
+    pairs: Iterable[tuple[int, int]] | np.ndarray,
+) -> tuple[PartnerLists, PartnerLists]:
     """Matched partners per candidate and per job."""
-    by_cand: dict[int, set[int]] = {}
-    by_job: dict[int, set[int]] = {}
-    for cand, job in pair_rows(pairs).tolist():
-        by_cand.setdefault(cand, set()).add(job)
-        by_job.setdefault(job, set()).add(cand)
-    return by_cand, by_job
-
-
-def _sample_negatives(
-    rng: np.random.Generator, universe: int, exclude: set[int], count: int, label: str
-) -> np.ndarray:
-    eligible = np.setdiff1d(np.arange(universe), np.fromiter(exclude, dtype=np.int64, count=len(exclude)))
-    if eligible.size < count:
-        raise SamplingError(
-            f"{label}: only {eligible.size} eligible negatives, need {count}"
-        )
-    return rng.choice(eligible, size=count, replace=False)
+    rows = pair_rows(pairs)
+    by_job = np.lexsort((rows[:, 0], rows[:, 1]))
+    return (
+        PartnerLists.from_sorted(rows[:, 0], rows[:, 1]),
+        PartnerLists.from_sorted(rows[by_job, 1], rows[by_job, 0]),
+    )
 
 
 def build_eval_instances(
-    matches: Iterable[tuple[int, int]],
-    by_cand: Mapping[int, set[int]],
-    by_job: Mapping[int, set[int]],
+    matches: Iterable[tuple[int, int]] | np.ndarray,
+    by_cand: PartnerLists,
+    by_job: PartnerLists,
     n: int,
     m: int,
     seed: int,
     num_negatives: int = 20,
-) -> list[EvalInstance]:
+) -> dict[Direction, InstanceArrays]:
     """Two frozen instances per matched pair, negatives fixed by the seed.
 
-    ``by_cand``/``by_job`` must map users to their matched partners across
-    all splits so no negative is a true match anywhere.
+    ``by_cand``/``by_job`` must list users' matched partners across all
+    splits so no negative is a true match anywhere; a match missing from
+    them raises ``DataFormatError``. Matches are taken in sorted order, and
+    each draws its candidate instance's negatives, then its job instance's.
     """
+    rows = pair_rows(matches)
+    cands, jobs = rows[:, 0], rows[:, 1]
+    sides = (
+        (Direction.FOR_CANDIDATES, by_cand, cands, jobs, m),
+        (Direction.FOR_JOBS, by_job, jobs, cands, n),
+    )
+    missing = np.zeros(len(rows), dtype=bool)
+    for _, partners, anchors, positives, universe in sides:
+        if partners.ids.max(initial=-1) >= universe:
+            raise DataFormatError(f"partner ids must be below {universe}, got {partners.ids.max()}")
+        missing |= ~partners.contains(anchors, positives)
+    if missing.any():
+        cand, job = rows[np.argmax(missing)].tolist()
+        raise DataFormatError(f"match ({cand}, {job}) is missing from the partner lists")
+
+    # Drawing from a population size consumes the same stream as drawing
+    # from an array that long, and returns ranks among the eligible ids.
+    pops = [(universe - np.diff(p.indptr)[anchors]).tolist() for _, p, anchors, _, universe in sides]
+    ranks = np.empty((2, len(rows), num_negatives), dtype=np.int64)
     rng = np.random.default_rng(seed)
-    instances: list[EvalInstance] = []
-    for cand, job in pair_rows(matches).tolist():
-        neg_jobs = _sample_negatives(
-            rng, m, by_cand.get(cand, set()), num_negatives, f"candidate {cand}"
+    for i, pair in enumerate(rows.tolist()):
+        for side, label in enumerate(("candidate", "job")):
+            pop = pops[side][i]
+            if pop < num_negatives:
+                raise SamplingError(
+                    f"{label} {pair[side]}: only {pop} eligible negatives, need {num_negatives}"
+                )
+            ranks[side, i] = rng.choice(pop, num_negatives, replace=False)
+    return {
+        direction: InstanceArrays(
+            anchors,
+            np.concatenate(
+                [positives[:, None], partners.skip_partners(anchors, ranks[side], universe)],
+                axis=1,
+            ),
         )
-        instances.append(
-            EvalInstance(Direction.FOR_CANDIDATES, cand, job, tuple(int(x) for x in neg_jobs))
-        )
-        neg_cands = _sample_negatives(
-            rng, n, by_job.get(job, set()), num_negatives, f"job {job}"
-        )
-        instances.append(
-            EvalInstance(Direction.FOR_JOBS, job, cand, tuple(int(x) for x in neg_cands))
-        )
-    return instances
+        for side, (direction, partners, anchors, positives, universe) in enumerate(sides)
+    }
 
 
 def rank_metrics(
@@ -125,22 +199,22 @@ def rank_metrics(
 
 
 def _direction_arrays(
-    z: np.ndarray, layout: NodeLayout, instances: list[EvalInstance], direction: Direction, k: int
+    z: np.ndarray,
+    layout: NodeLayout,
+    instances: Mapping[Direction, InstanceArrays],
+    direction: Direction,
+    k: int,
 ) -> dict[str, np.ndarray]:
-    subset = [inst for inst in instances if inst.direction is direction]
-    if not subset:
-        return {"anchor": np.empty(0, dtype=np.int64)}
-    anchors = np.array([inst.anchor for inst in subset], dtype=np.int64)
-    items = np.array(
-        [(inst.positive,) + inst.negatives for inst in subset], dtype=np.int64
-    )
+    anchors, items = instances[direction].anchors, instances[direction].items
+    if anchors.size == 0:
+        return {"anchor": anchors}
     width = items.shape[1]
     anchor_grid = np.repeat(anchors[:, None], width, axis=1)
     if direction is Direction.FOR_CANDIDATES:
         _, _, y = pair_scores(z, layout, anchor_grid.ravel(), items.ravel())
     else:
         _, _, y = pair_scores(z, layout, items.ravel(), anchor_grid.ravel())
-    y = y.reshape(len(subset), width)
+    y = y.reshape(len(anchors), width)
     if not np.all(np.isfinite(y)):
         raise NumericsError("evaluation scores contain non-finite values")
     rank = 1 + np.sum(y[:, 1:] >= y[:, :1], axis=1)
@@ -173,7 +247,7 @@ def _report_from(table: dict[str, np.ndarray], mask: np.ndarray | None = None) -
 
 
 def evaluate(
-    z: np.ndarray, layout: NodeLayout, instances: list[EvalInstance], k: int = 5
+    z: np.ndarray, layout: NodeLayout, instances: Mapping[Direction, InstanceArrays], k: int = 5
 ) -> RankingReport:
     """Score every instance against propagated representations and average."""
     cand_table = _direction_arrays(z, layout, instances, Direction.FOR_CANDIDATES, k)
@@ -234,7 +308,7 @@ def partition_by_mass(counts: np.ndarray, groups: int = 5) -> list[np.ndarray]:
 def sparsity_breakdown(
     z: np.ndarray,
     layout: NodeLayout,
-    instances: list[EvalInstance],
+    instances: Mapping[Direction, InstanceArrays],
     cand_counts: np.ndarray,
     job_counts: np.ndarray,
     k: int = 5,

@@ -20,7 +20,7 @@ from scipy.special import expit, logsumexp
 
 from .corpus import SplitDataset, write_atomic
 from .errors import CheckpointError, ConfigError, SamplingError, TrainingError
-from .evaluation import build_eval_instances, evaluate, partner_maps
+from .evaluation import PartnerLists, build_eval_instances, evaluate, partner_maps
 from .graph import SELF_EDGE_MODES, DualGraph, NodeLayout
 from .model import (
     ModelParams,
@@ -96,8 +96,8 @@ def scatter_add_rows(out: np.ndarray, ids: np.ndarray, rows: np.ndarray) -> None
 def sample_quadruples(
     cands: np.ndarray,
     jobs: np.ndarray,
-    by_cand: dict[int, set[int]],
-    by_job: dict[int, set[int]],
+    by_cand: PartnerLists,
+    by_job: PartnerLists,
     n: int,
     m: int,
     rng: np.random.Generator,
@@ -105,25 +105,27 @@ def sample_quadruples(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Uniform negative job and candidate per positive pair, by rejection.
 
-    Exclusion sets must cover matches from every split so no sampled negative
+    Exclusion lists must cover matches from every split so no sampled negative
     is a true match anywhere in the data.
     """
+    cand_width, cand_keys = by_cand.pair_keys
+    job_width, job_keys = by_job.pair_keys
     neg_jobs = np.empty(len(cands), dtype=np.int64)
     neg_cands = np.empty(len(cands), dtype=np.int64)
     for idx in range(len(cands)):
         cand, job = int(cands[idx]), int(jobs[idx])
-        matched_jobs = by_cand.get(cand, set())
+        base = cand * cand_width
         for _ in range(max_tries):
             draw = int(rng.integers(0, m))
-            if draw not in matched_jobs:
+            if draw >= cand_width or base + draw not in cand_keys:
                 neg_jobs[idx] = draw
                 break
         else:
             raise SamplingError(f"no eligible negative job found for candidate {cand}")
-        matched_cands = by_job.get(job, set())
+        base = job * job_width
         for _ in range(max_tries):
             draw = int(rng.integers(0, n))
-            if draw not in matched_cands:
+            if draw >= job_width or base + draw not in job_keys:
                 neg_cands[idx] = draw
                 break
         else:

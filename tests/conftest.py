@@ -14,6 +14,8 @@ import numpy as np
 import pytest
 
 from jobfit.corpus import InteractionSplit
+from jobfit.errors import SamplingError
+from jobfit.evaluation import Direction, partner_maps
 
 
 def make_split(applies=(), reachouts=(), matches=()) -> InteractionSplit:
@@ -134,6 +136,80 @@ def naive_rank_metrics(scores, positive_index: int, k: int):
     precision = recall / k
     ndcg = 1.0 / math.log2(rank + 1) if rank <= k else 0.0
     return recall, precision, ndcg, 1.0 / rank
+
+
+def naive_partner_maps(pairs) -> tuple[dict[int, set[int]], dict[int, set[int]]]:
+    """Matched partners per candidate and per job, as dicts of sets."""
+    by_cand: dict[int, set[int]] = {}
+    by_job: dict[int, set[int]] = {}
+    for cand, job in pairs:
+        by_cand.setdefault(int(cand), set()).add(int(job))
+        by_job.setdefault(int(job), set()).add(int(cand))
+    return by_cand, by_job
+
+
+def naive_eval_instances(matches, by_cand, by_job, n: int, m: int, seed: int, num_negatives: int):
+    """Set-difference reference for build_eval_instances over dict-of-sets maps.
+
+    Returns (direction, anchor, positive, negatives) tuples, the candidate
+    instance of each sorted match before its job instance. Each instance
+    draws from the array of ids not in its anchor's set, so a positive
+    missing from the maps can come back as its own negative.
+    """
+    rng = np.random.default_rng(seed)
+
+    def sample(universe, exclude, label):
+        eligible = np.setdiff1d(np.arange(universe), np.array(sorted(exclude), dtype=np.int64))
+        if eligible.size < num_negatives:
+            raise SamplingError(
+                f"{label}: only {eligible.size} eligible negatives, need {num_negatives}"
+            )
+        return tuple(int(x) for x in rng.choice(eligible, size=num_negatives, replace=False))
+
+    out = []
+    for cand, job in sorted({(int(c), int(j)) for c, j in matches}):
+        negatives = sample(m, by_cand.get(cand, set()), f"candidate {cand}")
+        out.append((Direction.FOR_CANDIDATES, cand, job, negatives))
+        negatives = sample(n, by_job.get(job, set()), f"job {job}")
+        out.append((Direction.FOR_JOBS, job, cand, negatives))
+    return out
+
+
+def naive_sample_quadruples(cands, jobs, by_cand, by_job, n: int, m: int, rng, max_tries=1000):
+    """sample_quadruples' rejection loop with dict-of-sets exclusion maps."""
+    neg_jobs = np.empty(len(cands), dtype=np.int64)
+    neg_cands = np.empty(len(cands), dtype=np.int64)
+    for idx in range(len(cands)):
+        cand, job = int(cands[idx]), int(jobs[idx])
+        for _ in range(max_tries):
+            draw = int(rng.integers(0, m))
+            if draw not in by_cand.get(cand, set()):
+                neg_jobs[idx] = draw
+                break
+        else:
+            raise SamplingError(f"no eligible negative job found for candidate {cand}")
+        for _ in range(max_tries):
+            draw = int(rng.integers(0, n))
+            if draw not in by_job.get(job, set()):
+                neg_cands[idx] = draw
+                break
+        else:
+            raise SamplingError(f"no eligible negative candidate found for job {job}")
+    return neg_jobs, neg_cands
+
+
+def instance_rows(instances):
+    """(direction, anchor, positive, negatives) per instance, one direction after the other."""
+    return [
+        (direction, anchor, items[0], tuple(items[1:]))
+        for direction, inst in instances.items()
+        for anchor, items in zip(inst.anchors.tolist(), inst.items.tolist())
+    ]
+
+
+def partner_lists(mapping):
+    """PartnerLists from a {user: partners} dict, for hand-written exclusions."""
+    return partner_maps([(user, other) for user, others in mapping.items() for other in others])[0]
 
 
 def random_split(

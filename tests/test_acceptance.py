@@ -267,14 +267,12 @@ def test_criterion_05_metric_oracle_and_random_baseline():
         (Direction.FOR_JOBS, report.for_jobs),
     ):
         rows = []
-        for inst in instances:
-            if inst.direction is not direction:
-                continue
-            items = (inst.positive,) + inst.negatives
+        for anchor, items in zip(instances[direction].anchors.tolist(),
+                                 instances[direction].items.tolist()):
             if direction is Direction.FOR_CANDIDATES:
-                _, _, y = pair_scores(z, graph.layout, [inst.anchor] * len(items), list(items))
+                _, _, y = pair_scores(z, graph.layout, [anchor] * len(items), items)
             else:
-                _, _, y = pair_scores(z, graph.layout, list(items), [inst.anchor] * len(items))
+                _, _, y = pair_scores(z, graph.layout, items, [anchor] * len(items))
             rows.append(brute(y, 0, 3))
         table = np.asarray(rows)
         assert side.count == len(rows)

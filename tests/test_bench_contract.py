@@ -101,38 +101,45 @@ def test_check_outputs_chain_agrees_with_cli_score_pair(bench_run, capsys):
         assert all(abs(a - b) <= 5.0001e-7 for a, b in zip(got, want)), (got, want)
 
 
-def test_eval_loads_the_checkpoint_once_after_the_data(bench_run, monkeypatch):
-    """Run.eval_start times eval from its single cli.load_checkpoint call."""
-    import jobfit.cli
-
+def spy_on(module, names, monkeypatch) -> list[str]:
+    """Record each call of ``names`` as looked up in ``module``, in call order."""
     calls = []
 
     def spy(name, fn):
         def wrapper(*args, **kwargs):
             calls.append(name)
             return fn(*args, **kwargs)
-        monkeypatch.setattr(jobfit.cli, name, wrapper)
+        monkeypatch.setattr(module, name, wrapper)
 
-    for name in ("_load_dataset", "_load_docs", "load_checkpoint"):
-        spy(name, getattr(jobfit.cli, name))
+    for name in names:
+        spy(name, getattr(module, name))
+    return calls
+
+
+def test_eval_loads_the_checkpoint_once_after_the_data(bench_run, monkeypatch):
+    """Run.eval_start times eval from its single cli.load_checkpoint call.
+
+    The test instances are built after it, inside the timed window.
+    """
+    import jobfit.cli
+
+    calls = spy_on(jobfit.cli, ("_load_dataset", "_load_docs", "load_checkpoint",
+                                "partner_maps", "build_eval_instances"), monkeypatch)
     assert jobfit.cli.main(["eval", "--config", str(bench_run["config"]),
                             "--checkpoint", str(bench_run["checkpoint"]), "--split", "test"]) == 0
-    assert calls == ["_load_dataset", "_load_docs", "load_checkpoint"]
+    assert calls == ["_load_dataset", "_load_docs", "load_checkpoint",
+                     "partner_maps", "build_eval_instances"]
 
 
 def test_train_builds_eval_instances_once(bench_run, monkeypatch, tmp_path):
-    """Run.train_loop starts the epoch loop where train() returns from this call."""
+    """Run.train_loop starts the epoch loop where train() returns from this call.
+
+    The partner lists are built before it, so they count as set-up.
+    """
     import jobfit.cli
     import jobfit.optim
 
-    calls = []
-    real = jobfit.optim.build_eval_instances
-
-    def counted(*args, **kwargs):
-        calls.append(1)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(jobfit.optim, "build_eval_instances", counted)
+    calls = spy_on(jobfit.optim, ("partner_maps", "build_eval_instances"), monkeypatch)
     assert jobfit.cli.main(["train", "--config", str(bench_run["config"]),
                             "--out-dir", str(tmp_path)]) == 0
-    assert len(calls) == 1
+    assert calls == ["partner_maps", "build_eval_instances"]

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from jobfit.errors import DataFormatError, NumericsError, SamplingError
 from jobfit.evaluation import (
     Direction,
-    EvalInstance,
+    InstanceArrays,
     build_eval_instances,
     evaluate,
     interaction_counts,
@@ -21,17 +21,29 @@ from jobfit.evaluation import (
 )
 from jobfit.graph import NodeLayout
 
-from conftest import make_split, naive_rank_metrics
+from conftest import (
+    instance_rows,
+    make_split,
+    naive_eval_instances,
+    naive_partner_maps,
+    naive_rank_metrics,
+)
+
+
+def as_sets(partners):
+    return {u: set(partners[u].tolist()) for u in range(len(partners.indptr) - 1) if partners[u].size}
 
 
 class TestPartnerMaps:
     def test_bidirectional_index(self):
         by_cand, by_job = partner_maps([(0, 1), (0, 2), (3, 1)])
-        assert by_cand == {0: {1, 2}, 3: {1}}
-        assert by_job == {1: {0, 3}, 2: {0}}
+        assert as_sets(by_cand) == {0: {1, 2}, 3: {1}}
+        assert as_sets(by_job) == {1: {0, 3}, 2: {0}}
+        assert by_cand.indptr.tolist() == [0, 2, 2, 2, 3] and by_cand.ids.tolist() == [1, 2, 1]
+        assert by_job.indptr.tolist() == [0, 0, 2, 3] and by_job.ids.tolist() == [0, 3, 0]
 
     def test_empty(self):
-        assert partner_maps([]) == ({}, {})
+        assert tuple(as_sets(p) for p in partner_maps([])) == ({}, {})
 
 
 class TestBuildInstances:
@@ -42,38 +54,92 @@ class TestBuildInstances:
                                     num_negatives=num_negatives)
 
     def test_two_instances_per_match_in_sorted_order(self):
-        instances = self.build()
+        instances = instance_rows(self.build())
         assert len(instances) == 6
-        assert [inst.direction for inst in instances] == [
-            Direction.FOR_CANDIDATES, Direction.FOR_JOBS,
-        ] * 3
+        assert [direction for direction, *_ in instances] == (
+            [Direction.FOR_CANDIDATES] * 3 + [Direction.FOR_JOBS] * 3
+        )
         # sorted matches: (0,1), (0,4), (2,3)
-        assert [(inst.anchor, inst.positive) for inst in instances] == [
-            (0, 1), (1, 0), (0, 4), (4, 0), (2, 3), (3, 2),
+        assert [(anchor, positive) for _, anchor, positive, _ in instances] == [
+            (0, 1), (0, 4), (2, 3), (1, 0), (4, 0), (3, 2),
         ]
 
     def test_negatives_exclude_all_matched_partners(self):
-        for inst in self.build():
-            negs = set(inst.negatives)
+        for direction, anchor, positive, negatives in instance_rows(self.build()):
+            negs = set(negatives)
             assert len(negs) == 4  # sampled without replacement
-            assert inst.positive not in negs
-            if inst.direction is Direction.FOR_CANDIDATES and inst.anchor == 0:
+            assert positive not in negs
+            if direction is Direction.FOR_CANDIDATES and anchor == 0:
                 # candidate 0 matched jobs 0, 1, 4 across splits
                 assert not negs & {0, 1, 4}
-            if inst.direction is Direction.FOR_JOBS and inst.anchor == 3:
+            if direction is Direction.FOR_JOBS and anchor == 3:
                 assert not negs & {2, 5}
 
     def test_deterministic_per_seed(self):
-        assert self.build(seed=5) == self.build(seed=5)
-        a = self.build(seed=5)
-        b = self.build(seed=6)
-        assert any(x.negatives != y.negatives for x, y in zip(a, b))
+        assert instance_rows(self.build(seed=5)) == instance_rows(self.build(seed=5))
+        a = instance_rows(self.build(seed=5))
+        b = instance_rows(self.build(seed=6))
+        assert any(x[3] != y[3] for x, y in zip(a, b))
 
     def test_insufficient_negatives(self):
         matches = {(0, j) for j in range(5)}
         by_cand, by_job = partner_maps(matches)
         with pytest.raises(SamplingError, match="only 1 eligible negatives, need 2"):
             build_eval_instances(matches, by_cand, by_job, n=6, m=6, seed=0, num_negatives=2)
+
+    def test_match_missing_from_partner_lists_raises(self):
+        # The set-difference version returned candidate 0's negatives (0, 1),
+        # with 1 its own positive.
+        with pytest.raises(DataFormatError, match=r"match \(0, 1\) is missing from the partner lists"):
+            build_eval_instances([(0, 1)], *partner_maps([]), n=3, m=3, seed=1, num_negatives=2)
+        with pytest.raises(DataFormatError, match=r"match \(2, 0\)"):
+            build_eval_instances([(0, 1), (2, 0)], *partner_maps([(0, 1), (2, 1)]), n=3, m=3,
+                                 seed=1, num_negatives=1)
+
+    def test_partner_ids_outside_the_universe_raise(self):
+        with pytest.raises(DataFormatError, match="partner ids must be below 3, got 4"):
+            build_eval_instances([(0, 1)], *partner_maps([(0, 1), (0, 4)]), n=3, m=3, seed=1,
+                                 num_negatives=1)
+
+    def check_against_oracle(self, n, m, all_matches, matches, seed, num_negatives):
+        by_cand, by_job = naive_partner_maps(all_matches)
+        try:
+            want = naive_eval_instances(matches, by_cand, by_job, n, m, seed, num_negatives)
+        except SamplingError as exc:
+            with pytest.raises(SamplingError) as raised:
+                build_eval_instances(matches, *partner_maps(all_matches), n, m, seed, num_negatives)
+            assert str(raised.value) == str(exc)
+            return
+        got = build_eval_instances(matches, *partner_maps(all_matches), n, m, seed, num_negatives)
+        assert instance_rows(got) == [row for d in Direction for row in want if row[0] is d]
+        for inst in got.values():
+            assert inst.anchors.dtype == inst.items.dtype == np.int64
+            assert inst.items.shape == (len(set(matches)), 1 + num_negatives)
+
+    @given(
+        n=st.integers(min_value=1, max_value=7),
+        m=st.integers(min_value=1, max_value=7),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        data=st.data(),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_set_difference_oracle(self, n, m, seed, data):
+        cells = st.tuples(st.integers(0, n - 1), st.integers(0, m - 1))
+        all_matches = data.draw(st.sets(cells, max_size=n * m), label="all_matches")
+        matches = data.draw(
+            st.sets(st.sampled_from(sorted(all_matches))) if all_matches else st.just(set()),
+            label="matches",
+        )
+        num_negatives = data.draw(st.integers(1, max(n, m) + 1), label="num_negatives")
+        self.check_against_oracle(n, m, all_matches, matches, seed, num_negatives)
+
+    @pytest.mark.parametrize("num_negatives", [3, 4])
+    def test_eligible_equal_to_count_and_one_short(self, num_negatives):
+        # Candidate 0 has 5 - 2 = 3 eligible jobs; candidates 3 and 4 and
+        # job 4 have no partners at all.
+        all_matches = {(0, 0), (0, 1), (1, 0), (2, 3)}
+        matches = {(0, 1), (2, 3)}
+        self.check_against_oracle(5, 5, all_matches, matches, 11, num_negatives)
 
 
 class TestRankMetrics:
@@ -150,18 +216,18 @@ class TestRankMetrics:
 class TestEvaluate:
     def naive_evaluate(self, z, layout, instances, k):
         per_direction = {Direction.FOR_CANDIDATES: [], Direction.FOR_JOBS: []}
-        for inst in instances:
-            items = (inst.positive,) + inst.negatives
+        for direction, anchor, positive, negatives in instance_rows(instances):
+            items = (positive,) + negatives
             scores = []
             for item in items:
-                if inst.direction is Direction.FOR_CANDIDATES:
-                    c, j = inst.anchor, item
+                if direction is Direction.FOR_CANDIDATES:
+                    c, j = anchor, item
                 else:
-                    c, j = item, inst.anchor
+                    c, j = item, anchor
                 r = z[layout.cand_active(c)] @ z[layout.job_passive(j)]
                 s = z[layout.job_active(j)] @ z[layout.cand_passive(c)]
                 scores.append(0.5 * (r + s))
-            per_direction[inst.direction].append(naive_rank_metrics(scores, 0, k))
+            per_direction[direction].append(naive_rank_metrics(scores, 0, k))
         return {
             d: tuple(np.mean([row[i] for row in rows]) for i in range(4))
             for d, rows in per_direction.items()
@@ -206,10 +272,10 @@ class TestEvaluate:
         z[layout.job_passive(0), 0] = 1.0
         z[layout.job_active(0), 1] = 1.0
         z[layout.cand_passive(0), 1] = 1.0
-        instances = [
-            EvalInstance(Direction.FOR_CANDIDATES, 0, 0, (1, 2)),
-            EvalInstance(Direction.FOR_JOBS, 0, 0, (1, 2)),
-        ]
+        instances = {
+            Direction.FOR_CANDIDATES: InstanceArrays(np.array([0]), np.array([[0, 1, 2]])),
+            Direction.FOR_JOBS: InstanceArrays(np.array([0]), np.array([[0, 1, 2]])),
+        }
         report = evaluate(z, layout, instances, k=1)
         for side in (report.for_candidates, report.for_jobs):
             assert side.count == 1
@@ -218,7 +284,12 @@ class TestEvaluate:
     def test_empty_direction_reports_nan(self, rng):
         layout = NodeLayout(3, 3)
         z = rng.standard_normal((layout.node_count, 4))
-        instances = [EvalInstance(Direction.FOR_CANDIDATES, 0, 0, (1, 2))]
+        instances = {
+            Direction.FOR_CANDIDATES: InstanceArrays(np.array([0]), np.array([[0, 1, 2]])),
+            Direction.FOR_JOBS: InstanceArrays(
+                np.empty(0, dtype=np.int64), np.empty((0, 3), dtype=np.int64)
+            ),
+        }
         report = evaluate(z, layout, instances, k=1)
         assert report.for_jobs.count == 0
         assert math.isnan(report.for_jobs.mrr)

@@ -6,9 +6,12 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from jobfit.corpus import InteractionSplit, SplitDataset
 from jobfit.errors import CheckpointError, ConfigError, SamplingError, TrainingError
+from jobfit.evaluation import partner_maps
 from jobfit.graph import NodeLayout
 from jobfit.model import VariantConfig, build_variant_graph, init_params, node_init, propagate
 from jobfit.optim import (
@@ -34,7 +37,13 @@ from jobfit.optim import (
     train,
 )
 
-from conftest import make_split, random_split
+from conftest import (
+    make_split,
+    naive_partner_maps,
+    naive_sample_quadruples,
+    partner_lists,
+    random_split,
+)
 
 LN2 = math.log(2.0)
 
@@ -134,8 +143,8 @@ class TestScatterAddRows:
 
 class TestQuadrupleSampling:
     def test_never_draws_excluded_partner(self, rng):
-        by_cand = {0: {0, 1, 2}}
-        by_job = {5: {0, 1}}
+        by_cand = partner_lists({0: {0, 1, 2}})
+        by_job = partner_lists({5: {0, 1}})
         cands = np.zeros(500, dtype=np.int64)
         jobs = np.full(500, 5, dtype=np.int64)
         neg_jobs, neg_cands = sample_quadruples(cands, jobs, by_cand, by_job, 4, 8, rng)
@@ -143,27 +152,54 @@ class TestQuadrupleSampling:
         assert not set(neg_cands.tolist()) & {0, 1}
 
     def test_uniform_over_eligible(self, rng):
-        by_cand = {0: {0, 1, 2}}
+        by_cand = partner_lists({0: {0, 1, 2}})
         draws = 20000
         cands = np.zeros(draws, dtype=np.int64)
         jobs = np.zeros(draws, dtype=np.int64)
-        neg_jobs, neg_cands = sample_quadruples(cands, jobs, by_cand, {}, 5, 8, rng)
+        neg_jobs, neg_cands = sample_quadruples(cands, jobs, by_cand, partner_lists({}), 5, 8, rng)
         counts = np.bincount(neg_jobs, minlength=8)
         assert counts[:3].sum() == 0
         np.testing.assert_allclose(counts[3:] / draws, 0.2, atol=0.015)
         np.testing.assert_allclose(np.bincount(neg_cands, minlength=5) / draws, 0.2, atol=0.015)
 
     def test_no_eligible_negative_raises(self, rng):
-        by_cand = {3: set(range(6))}
+        by_cand = partner_lists({3: set(range(6))})
         with pytest.raises(SamplingError, match="candidate 3"):
             sample_quadruples(
-                np.array([3]), np.array([0]), by_cand, {}, 4, 6, rng, max_tries=50
+                np.array([3]), np.array([0]), by_cand, partner_lists({}), 4, 6, rng, max_tries=50
             )
-        by_job = {2: set(range(4))}
+        by_job = partner_lists({2: set(range(4))})
         with pytest.raises(SamplingError, match="job 2"):
             sample_quadruples(
-                np.array([0]), np.array([2]), {}, by_job, 4, 6, rng, max_tries=50
+                np.array([0]), np.array([2]), partner_lists({}), by_job, 4, 6, rng, max_tries=50
             )
+
+    @given(
+        n=st.integers(min_value=1, max_value=6),
+        m=st.integers(min_value=1, max_value=6),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        data=st.data(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_csr_rows_draw_as_the_sets_did(self, n, m, seed, data):
+        # Batch users may have no partners, and some have every id as one.
+        cells = st.tuples(st.integers(0, n - 1), st.integers(0, m - 1))
+        pairs = data.draw(st.sets(cells, max_size=n * m), label="pairs")
+        batch = np.array(data.draw(st.lists(cells, min_size=1, max_size=12), label="batch"))
+        args = (batch[:, 0], batch[:, 1])
+        try:
+            want = naive_sample_quadruples(*args, *naive_partner_maps(pairs), n, m,
+                                           np.random.default_rng(seed), max_tries=30)
+        except SamplingError as exc:
+            with pytest.raises(SamplingError) as raised:
+                sample_quadruples(*args, *partner_maps(pairs), n, m,
+                                  np.random.default_rng(seed), max_tries=30)
+            assert str(raised.value) == str(exc)
+            return
+        got = sample_quadruples(*args, *partner_maps(pairs), n, m,
+                                np.random.default_rng(seed), max_tries=30)
+        np.testing.assert_array_equal(got[0], want[0])
+        np.testing.assert_array_equal(got[1], want[1])
 
 
 class TestRankingLosses:
