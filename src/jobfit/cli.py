@@ -173,8 +173,6 @@ def validate_run_config(cfg: RunConfig) -> None:
     train_config_for(cfg)
     if cfg.ssl_weight < 0:
         raise ConfigError(f"lambda must be >= 0, got {cfg.ssl_weight}")
-    if cfg.k <= 0:
-        raise ConfigError(f"k must be positive, got {cfg.k}")
     if not 0 < cfg.t_valid_start < cfg.t_test_start:
         raise ConfigError(
             f"need 0 < t_valid_start < t_test_start, got "
@@ -464,8 +462,6 @@ def _parse_grid(axis: str, text: str) -> list[float] | list[int]:
 def cmd_sweep(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
     axis = args.axis or cfg.sweep_axis
-    if axis not in SWEEP_AXES:
-        raise ConfigError(f"sweep axis must be one of {SWEEP_AXES}, got {axis!r}")
     grid_text = args.grid or cfg.sweep_grid or DEFAULT_GRIDS[axis]
     grid = _parse_grid(axis, grid_text)
     dataset = _load_dataset(cfg)

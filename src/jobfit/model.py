@@ -59,16 +59,6 @@ def variant_config(name: str, **overrides) -> VariantConfig:
     return cfg
 
 
-def variant_name(cfg: VariantConfig) -> str:
-    if not cfg.dual_graph:
-        return "no-dpg"
-    if not cfg.quadruple_loss:
-        return "no-ql"
-    if cfg.ssl_weight == 0.0:
-        return "no-ssl"
-    return "full"
-
-
 @dataclass
 class ModelParams:
     """Learnable state plus the frozen per-node document table.

@@ -34,7 +34,7 @@ from .model import (
 )
 
 CKPT_MAGIC = b"DPFCKPT1"
-CKPT_VERSION = 2
+CKPT_VERSION = 3
 # Marks a document table that had no file: the all-zero fallback of width d_o.
 ZERO_TABLE = bytes(32)
 _FINGERPRINT = struct.Struct("<?32s2q32s32s")
@@ -412,15 +412,6 @@ class AdamState:
             v_projection=np.zeros_like(params.projection),
         )
 
-    def copy(self) -> "AdamState":
-        return AdamState(
-            self.m_embeddings.copy(),
-            self.v_embeddings.copy(),
-            self.m_projection.copy(),
-            self.v_projection.copy(),
-            self.step,
-        )
-
 
 def adam_step(
     params: ModelParams,
@@ -466,7 +457,7 @@ class InputFingerprint:
 
 @dataclass
 class Checkpoint:
-    """Trained parameters, optimizer state and the best epoch's final table ``z``.
+    """Trained parameters and the best epoch's final table ``z``.
 
     ``z`` is ``propagate`` of the stored parameters over the training graph,
     so reads score pairs from it directly. ``fingerprint`` is ``None`` until
@@ -481,7 +472,6 @@ class Checkpoint:
     variant: VariantConfig
     embeddings: np.ndarray
     projection: np.ndarray
-    adam: AdamState
     epoch: int
     best_metric: float
     z: np.ndarray
@@ -494,13 +484,12 @@ class Checkpoint:
 
 def checkpoint_from(
     params: ModelParams,
-    adam: AdamState,
     variant: VariantConfig,
     epoch: int,
     best_metric: float,
     z: np.ndarray,
 ) -> Checkpoint:
-    """Snapshot of the parameters and Adam state; ``z`` is kept, not copied."""
+    """Snapshot of the parameters; ``z`` is kept, not copied."""
     layout = params.layout
     return Checkpoint(
         n=layout.n,
@@ -511,7 +500,6 @@ def checkpoint_from(
         variant=variant,
         embeddings=params.embeddings.copy(),
         projection=params.projection.copy(),
-        adam=adam.copy(),
         epoch=epoch,
         best_metric=best_metric,
         z=z,
@@ -549,7 +537,7 @@ def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
         variant.omega,
         variant.layers,
     )
-    tail = struct.pack("<IdQ", ckpt.epoch, ckpt.best_metric, ckpt.adam.step)
+    tail = struct.pack("<Id", ckpt.epoch, ckpt.best_metric)
     fp = ckpt.fingerprint
     fp_fields = astuple(fp) if fp is not None else (ZERO_TABLE, 0, 0, ZERO_TABLE, ZERO_TABLE)
     blob = bytearray()
@@ -558,15 +546,7 @@ def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
     blob += head
     blob += tail
     blob += _FINGERPRINT.pack(fp is not None, *fp_fields)
-    for arr in (
-        ckpt.embeddings,
-        ckpt.projection,
-        ckpt.adam.m_embeddings,
-        ckpt.adam.v_embeddings,
-        ckpt.adam.m_projection,
-        ckpt.adam.v_projection,
-        ckpt.z,
-    ):
+    for arr in (ckpt.embeddings, ckpt.projection, ckpt.z):
         blob += np.ascontiguousarray(arr, dtype="<f8").tobytes(order="C")
     blob += struct.pack("<I", zlib.crc32(blob) & 0xFFFFFFFF)
     write_atomic(path, blob)
@@ -594,8 +574,8 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     offset += struct.calcsize("<6I4B2dI")
     n, m, d_e, d_t, d_o, node_count, dual, quad, self_idx, _pad = head[:10]
     ssl_weight, omega, layers = head[10], head[11], head[12]
-    epoch, best_metric, adam_steps = struct.unpack_from("<IdQ", blob, offset)
-    offset += struct.calcsize("<IdQ")
+    epoch, best_metric = struct.unpack_from("<Id", blob, offset)
+    offset += struct.calcsize("<Id")
     has_fingerprint, *fingerprint = _FINGERPRINT.unpack_from(blob, offset)
     offset += _FINGERPRINT.size
     if not 0 <= self_idx < len(SELF_EDGE_MODES):
@@ -615,15 +595,7 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
             f"dual={variant.dual_graph}"
         )
 
-    shapes = [
-        (node_count, d_e),
-        (d_t, d_o),
-        (node_count, d_e),
-        (node_count, d_e),
-        (d_t, d_o),
-        (d_t, d_o),
-        (node_count, d_e + d_t),
-    ]
+    shapes = [(node_count, d_e), (d_t, d_o), (node_count, d_e + d_t)]
     tensor_bytes = sum(8 * a * b for a, b in shapes)
     if len(blob) - offset - 4 != tensor_bytes:
         raise CheckpointError(f"{path}: truncated checkpoint payload")
@@ -634,8 +606,7 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
             np.frombuffer(blob[offset : offset + size], dtype="<f8").reshape(rows, cols).copy()
         )
         offset += size
-    emb, proj, m_e, v_e, m_p, v_p, z = arrays
-    adam = AdamState(m_e, v_e, m_p, v_p, step=int(adam_steps))
+    emb, proj, z = arrays
     return Checkpoint(
         n=int(n),
         m=int(m),
@@ -645,7 +616,6 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         variant=variant,
         embeddings=emb,
         projection=proj,
-        adam=adam,
         epoch=int(epoch),
         best_metric=float(best_metric),
         z=z,
@@ -767,7 +737,7 @@ def train(
         )
         if best is None or metric > best.best_metric:
             epochs_since_best = 0
-            best = checkpoint_from(params, adam, variant, epoch, metric, val_state.z)
+            best = checkpoint_from(params, variant, epoch, metric, val_state.z)
         else:
             epochs_since_best += 1
             if epochs_since_best >= config.patience:
@@ -775,5 +745,5 @@ def train(
 
     if best is None:  # max_epochs == 0: the initial parameters
         z = propagate(params, graph, variant).z
-        best = checkpoint_from(params, adam, variant, 0, float("nan"), z)
+        best = checkpoint_from(params, variant, 0, float("nan"), z)
     return TrainResult(checkpoint=best, history=history)

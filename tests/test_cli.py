@@ -383,17 +383,18 @@ class TestTrainingInputs:
         err = capsys.readouterr().err
         assert ckpt in err and named in err and "differs" in err
 
-    def test_version_1_file_exits_2_with_retrain_hint(self, workdir, tmp_path, capsys):
+    @pytest.mark.parametrize("version", [1, 2])
+    def test_old_version_file_exits_2_with_retrain_hint(self, workdir, tmp_path, capsys, version):
         blob = bytearray((workdir["run"] / "checkpoint.bin").read_bytes())
-        struct.pack_into("<I", blob, 8, 1)
+        struct.pack_into("<I", blob, 8, version)
         body = bytes(blob[:-4])
-        path = tmp_path / "v1.bin"
+        path = tmp_path / f"v{version}.bin"
         path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
         rc = main(["score-pair", "--config", str(workdir["config"]), "--checkpoint", str(path),
                    "--candidate", "1", "--job", "1"])
         assert rc == 2
         err = capsys.readouterr().err
-        assert "version 1" in err and "retrain" in err
+        assert f"version {version}" in err and "retrain" in err
 
     def test_zero_tables_of_another_width_exit_2(self, workdir, tmp_path, capsys):
         no_docs = ["--config", str(workdir["config"]), "--set", "cand_embeddings=",
@@ -542,7 +543,9 @@ class TestConfigHandling:
         assert exc.value.code == 2
 
     @pytest.mark.parametrize(
-        "case", ["missing", "non-utf8-log", "non-utf8-config", "directory-log"]
+        "case",
+        ["missing", "non-utf8-log", "non-utf8-config", "directory-log", "k=0",
+         "sweep_axis=bogus"],
     )
     def test_unreadable_log_path_exits_2(self, case, tmp_path, capsys):
         bad = tmp_path / "bad.bin"
@@ -552,6 +555,11 @@ class TestConfigHandling:
             "non-utf8-log": (["--log", str(bad)], f"{bad}: not UTF-8"),
             "non-utf8-config": (["--config", str(bad)], f"{bad}: not UTF-8"),
             "directory-log": (["--log", str(tmp_path)], str(tmp_path)),
+            "k=0": (["--set", "k=0"], "eval_k must be positive, got 0"),
+            "sweep_axis=bogus": (
+                ["--set", "sweep_axis=bogus"],
+                "sweep_axis must be one of ('layers', 'tau', 'lambda', 'omega'), got 'bogus'",
+            ),
         }[case]
         rc = main(["split", *args])
         assert rc == 2

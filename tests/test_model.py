@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from jobfit.errors import ConfigError, NumericsError
 from jobfit.graph import NodeLayout, build_graph
 from jobfit.model import (
-    VARIANTS,
     VariantConfig,
     apply_mean_powers,
     build_variant_graph,
@@ -21,7 +20,6 @@ from jobfit.model import (
     propagate,
     score_pair,
     variant_config,
-    variant_name,
 )
 
 from conftest import dense_operator, dense_propagate, make_split, random_split
@@ -46,8 +44,6 @@ class TestVariantPresets:
         assert variant_config("no-dpg").dual_graph is False
         assert variant_config("no-ql").quadruple_loss is False
         assert variant_config("no-ssl").ssl_weight == 0.0
-        for name in VARIANTS:
-            assert variant_name(variant_config(name)) == name
 
     def test_overrides_survive_preset(self):
         cfg = variant_config("no-dpg", layers=1, omega=0.5)
