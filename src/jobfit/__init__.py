@@ -10,6 +10,17 @@ contrastive term tying each user's two perspectives together.
 
 __version__ = "0.1.0"
 
+import os as _os
+import sys as _sys
+
+# Dense products sum in an order that depends on the BLAS thread count, so
+# checkpoints are bit-identical only at one count. Pin it to one thread,
+# which BLAS reads once when NumPy first loads it.
+if "numpy" not in _sys.modules:
+    for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+                 "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS", "BLIS_NUM_THREADS"):
+        _os.environ[_var] = "1"
+
 from .corpus import (
     DocTable,
     EventLog,

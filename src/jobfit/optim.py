@@ -13,7 +13,7 @@ import struct
 import zlib
 from dataclasses import astuple, dataclass, field
 from pathlib import Path
-from typing import Sequence
+from typing import Callable, Sequence
 
 import numpy as np
 from scipy.special import expit, logsumexp
@@ -164,81 +164,59 @@ def main_loss(y_pos, y_neg_job, y_neg_cand, quadruple: bool = True) -> float:
 
 def _side_contrastive(
     z: np.ndarray,
-    active_ids: np.ndarray,
-    passive_ids: np.ndarray,
+    active: Callable[[np.ndarray], np.ndarray],
+    passive: Callable[[np.ndarray], np.ndarray],
+    users: np.ndarray,
     tau: float,
+    dens: np.ndarray | None = None,
     grad_out: np.ndarray | None = None,
     weight: float = 1.0,
 ) -> float:
-    """One side's contrastive loss with in-batch denominators.
+    """One side's contrastive loss over distinct anchors ``users``.
 
-    For anchor i the denominator sums, over every batch member i' including
-    i itself, both exp(a_i . p_i' / tau) and exp(a_i' . p_i / tau); the
-    numerator is the anchor's own active/passive agreement. Log-sum-exp keeps
+    Anchor i scores its active node against the passive nodes of a column set
+    C of users (s1) and its passive node against their active nodes (s2). Its
+    denominator sums exp of both over its denominator set, which includes the
+    anchor itself; the numerator is its own active/passive agreement. With
+    ``dens`` None the set is the whole batch and C is ``users``. Otherwise row
+    i of ``dens`` is anchor i's set (the anchor in column 0), C is every user
+    in ``dens``, and scores outside the row are -inf. Log-sum-exp keeps
     everything finite. Returns the sum (not mean) over anchors.
     """
-    batch = len(active_ids)
+    batch = len(users)
     if batch == 0:
         return 0.0
-    a = z[active_ids]
-    p = z[passive_ids]
-    s1 = (a @ p.T) / tau
-    s2 = s1.T.copy()                      # s2[i, j] = a_j . p_i / tau
-    pos = np.diagonal(s1)
+    rows = np.arange(batch)
+    if dens is None:
+        cols, own = users, rows
+    else:
+        cols, where = np.unique(dens, return_inverse=True)
+        own = np.searchsorted(cols, users)
+    a_cols = z[active(cols)]
+    p_cols = z[passive(cols)]
+    a, p = a_cols[own], p_cols[own]
+    s1 = (a @ p_cols.T) / tau
+    # s2[i, c] = a_c . p_i / tau. The copy makes it C-contiguous: logsumexp
+    # sums an F-ordered array's rows in another order.
+    s2 = ((a_cols @ p.T) / tau).T.copy()
+    if dens is not None:
+        outside = np.ones(s1.shape, dtype=bool)
+        outside[rows[:, None], where.reshape(dens.shape)] = False
+        s1[outside] = -np.inf
+        s2[outside] = -np.inf
     logden = np.logaddexp(logsumexp(s1, axis=1), logsumexp(s2, axis=1))
-    loss = float(np.sum(logden - pos))
+    loss = float(np.sum(logden - s1[rows, own]))
     if grad_out is not None:
-        w1 = np.exp(s1 - logden[:, None])
+        g1 = np.exp(s1 - logden[:, None])
         w2 = np.exp(s2 - logden[:, None])
-        g1 = w1
-        g1[np.arange(batch), np.arange(batch)] -= 1.0
-        da = (g1 @ p + w2.T @ p) / tau
-        dp = (g1.T @ a + w2 @ a) / tau
-        scatter_add_rows(grad_out, active_ids, weight * da)
-        scatter_add_rows(grad_out, passive_ids, weight * dp)
-    return loss
-
-
-def _side_contrastive_sampled(
-    z: np.ndarray,
-    active_ids: np.ndarray,
-    passive_ids: np.ndarray,
-    den_active_ids: np.ndarray,
-    den_passive_ids: np.ndarray,
-    tau: float,
-    grad_out: np.ndarray | None = None,
-    weight: float = 1.0,
-) -> float:
-    """Contrastive loss with per-anchor sampled denominators.
-
-    ``den_*_ids`` have shape (batch, S + 1) with the anchor itself in column
-    zero, preserving the convention that the anchor appears in its own
-    denominator.
-    """
-    batch = len(active_ids)
-    if batch == 0:
-        return 0.0
-    a = z[active_ids]
-    p = z[passive_ids]
-    pg = z[den_passive_ids]               # (batch, S + 1, d)
-    ag = z[den_active_ids]
-    s1 = np.einsum("bd,bsd->bs", a, pg) / tau
-    s2 = np.einsum("bd,bsd->bs", p, ag) / tau
-    pos = np.sum(a * p, axis=1) / tau
-    logden = np.logaddexp(logsumexp(s1, axis=1), logsumexp(s2, axis=1))
-    loss = float(np.sum(logden - pos))
-    if grad_out is not None:
-        w1 = np.exp(s1 - logden[:, None])
-        w2 = np.exp(s2 - logden[:, None])
-        da = (np.einsum("bs,bsd->bd", w1, pg) - p) / tau
-        dp = (np.einsum("bs,bsd->bd", w2, ag) - a) / tau
-        dpg = w1[:, :, None] * a[:, None, :] / tau
-        dag = w2[:, :, None] * p[:, None, :] / tau
-        dim = z.shape[1]
-        scatter_add_rows(grad_out, active_ids, weight * da)
-        scatter_add_rows(grad_out, passive_ids, weight * dp)
-        scatter_add_rows(grad_out, den_passive_ids.ravel(), weight * dpg.reshape(-1, dim))
-        scatter_add_rows(grad_out, den_active_ids.ravel(), weight * dag.reshape(-1, dim))
+        g1[rows, own] -= 1.0
+        # Gradients in C's row space; the anchors' own rows are part of C.
+        d_active = w2.T @ p
+        d_active[own] += g1 @ p_cols
+        d_passive = g1.T @ a
+        d_passive[own] += w2 @ a_cols
+        grad_out[active(cols)] += weight * (d_active / tau)
+        grad_out[passive(cols)] += weight * (d_passive / tau)
     return loss
 
 
@@ -273,14 +251,8 @@ def _contrastive(
         (cand_users, layout.cand_active, layout.cand_passive),
         (job_users, layout.job_active, layout.job_passive),
     )):
-        if ssl_dens is None:
-            loss += _side_contrastive(z, active(users), passive(users), tau, grad_out, weight)
-        else:
-            dens = ssl_dens[side]
-            loss += _side_contrastive_sampled(
-                z, active(users), passive(users), active(dens), passive(dens),
-                tau, grad_out, weight,
-            )
+        dens = None if ssl_dens is None else ssl_dens[side]
+        loss += _side_contrastive(z, active, passive, users, tau, dens, grad_out, weight)
     return loss
 
 

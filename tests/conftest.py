@@ -12,10 +12,12 @@ import math
 
 import numpy as np
 import pytest
+from scipy.special import logsumexp
 
 from jobfit.corpus import InteractionSplit
 from jobfit.errors import SamplingError
 from jobfit.evaluation import Direction, partner_maps
+from jobfit.optim import scatter_add_rows
 
 
 def make_split(applies=(), reachouts=(), matches=()) -> InteractionSplit:
@@ -136,6 +138,92 @@ def naive_rank_metrics(scores, positive_index: int, k: int):
     precision = recall / k
     ndcg = 1.0 / math.log2(rank + 1) if rank <= k else 0.0
     return recall, precision, ndcg, 1.0 / rank
+
+
+# The contrastive kernels as they were before one kernel served both forms:
+# in-batch scores from one (batch, batch) product, sampled scores from
+# (batch, S + 1, d) gathers, and every gradient row scattered with
+# scatter_add_rows. The in-batch form is the bit-exact reference.
+
+
+def side_contrastive_oracle(
+    z: np.ndarray,
+    active_ids: np.ndarray,
+    passive_ids: np.ndarray,
+    tau: float,
+    grad_out: np.ndarray | None = None,
+    weight: float = 1.0,
+) -> float:
+    """One side's contrastive loss with in-batch denominators.
+
+    For anchor i the denominator sums, over every batch member i' including
+    i itself, both exp(a_i . p_i' / tau) and exp(a_i' . p_i / tau); the
+    numerator is the anchor's own active/passive agreement. Log-sum-exp keeps
+    everything finite. Returns the sum (not mean) over anchors.
+    """
+    batch = len(active_ids)
+    if batch == 0:
+        return 0.0
+    a = z[active_ids]
+    p = z[passive_ids]
+    s1 = (a @ p.T) / tau
+    s2 = s1.T.copy()                      # s2[i, j] = a_j . p_i / tau
+    pos = np.diagonal(s1)
+    logden = np.logaddexp(logsumexp(s1, axis=1), logsumexp(s2, axis=1))
+    loss = float(np.sum(logden - pos))
+    if grad_out is not None:
+        w1 = np.exp(s1 - logden[:, None])
+        w2 = np.exp(s2 - logden[:, None])
+        g1 = w1
+        g1[np.arange(batch), np.arange(batch)] -= 1.0
+        da = (g1 @ p + w2.T @ p) / tau
+        dp = (g1.T @ a + w2 @ a) / tau
+        scatter_add_rows(grad_out, active_ids, weight * da)
+        scatter_add_rows(grad_out, passive_ids, weight * dp)
+    return loss
+
+
+def sampled_side_contrastive_oracle(
+    z: np.ndarray,
+    active_ids: np.ndarray,
+    passive_ids: np.ndarray,
+    den_active_ids: np.ndarray,
+    den_passive_ids: np.ndarray,
+    tau: float,
+    grad_out: np.ndarray | None = None,
+    weight: float = 1.0,
+) -> float:
+    """Contrastive loss with per-anchor sampled denominators.
+
+    ``den_*_ids`` have shape (batch, S + 1) with the anchor itself in column
+    zero, preserving the convention that the anchor appears in its own
+    denominator.
+    """
+    batch = len(active_ids)
+    if batch == 0:
+        return 0.0
+    a = z[active_ids]
+    p = z[passive_ids]
+    pg = z[den_passive_ids]               # (batch, S + 1, d)
+    ag = z[den_active_ids]
+    s1 = np.einsum("bd,bsd->bs", a, pg) / tau
+    s2 = np.einsum("bd,bsd->bs", p, ag) / tau
+    pos = np.sum(a * p, axis=1) / tau
+    logden = np.logaddexp(logsumexp(s1, axis=1), logsumexp(s2, axis=1))
+    loss = float(np.sum(logden - pos))
+    if grad_out is not None:
+        w1 = np.exp(s1 - logden[:, None])
+        w2 = np.exp(s2 - logden[:, None])
+        da = (np.einsum("bs,bsd->bd", w1, pg) - p) / tau
+        dp = (np.einsum("bs,bsd->bd", w2, ag) - a) / tau
+        dpg = w1[:, :, None] * a[:, None, :] / tau
+        dag = w2[:, :, None] * p[:, None, :] / tau
+        dim = z.shape[1]
+        scatter_add_rows(grad_out, active_ids, weight * da)
+        scatter_add_rows(grad_out, passive_ids, weight * dp)
+        scatter_add_rows(grad_out, den_passive_ids.ravel(), weight * dpg.reshape(-1, dim))
+        scatter_add_rows(grad_out, den_active_ids.ravel(), weight * dag.reshape(-1, dim))
+    return loss
 
 
 def naive_partner_maps(pairs) -> tuple[dict[int, set[int]], dict[int, set[int]]]:

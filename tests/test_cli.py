@@ -156,6 +156,39 @@ class TestTrain:
         for name in ("checkpoint.bin", "history.tsv"):
             assert (again / name).read_bytes() == (workdir["run"] / name).read_bytes(), name
 
+    def test_checkpoint_bytes_do_not_depend_on_blas_threads(self, tmp_path):
+        """Importing jobfit pins BLAS to one thread, whatever the environment asks.
+
+        The README corpus is large enough for multi-threaded BLAS to split
+        its dense products and sum them in another order.
+        """
+        data = tmp_path / "data"
+        assert main(["synth", "--out-dir", str(data), "--seed", "7"]) == 0
+        config = tmp_path / "run.cfg"
+        config.write_text(
+            f"log = {data / 'events.tsv'}\n"
+            f"cand_embeddings = {data / 'candidates.emb'}\n"
+            f"job_embeddings = {data / 'jobs.emb'}\n"
+            "t_valid_start = 84\nt_test_start = 95\nd_e = 48\nd_t = 16\nlr = 0.05\n"
+            "batch_size = 256\nmax_epochs = 2\nlambda = 0.001\ntau = 5.0\n"
+        )
+        package_root = str(Path(jobfit.__file__).resolve().parents[1])
+        checkpoints = []
+        for threads in ("1", "2"):
+            env = dict(os.environ, OMP_NUM_THREADS=threads, OPENBLAS_NUM_THREADS=threads)
+            env["PYTHONPATH"] = os.pathsep.join(
+                p for p in (package_root, env.get("PYTHONPATH")) if p
+            )
+            out = tmp_path / f"threads-{threads}"
+            proc = subprocess.run(
+                [sys.executable, "-m", "jobfit.cli", "train", "--config", str(config),
+                 "--out-dir", str(out)],
+                capture_output=True, text=True, env=env,
+            )
+            assert proc.returncode == 0, proc.stderr
+            checkpoints.append((out / "checkpoint.bin").read_bytes())
+        assert checkpoints[0] == checkpoints[1]
+
     def test_variant_flag_changes_checkpoint(self, workdir):
         out = workdir["root"] / "run_nodpg"
         rc = main(

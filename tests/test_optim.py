@@ -35,6 +35,7 @@ from jobfit.optim import (
     softplus,
     ssl_loss,
     train,
+    _side_contrastive,
 )
 
 from conftest import (
@@ -43,6 +44,8 @@ from conftest import (
     naive_sample_quadruples,
     partner_lists,
     random_split,
+    sampled_side_contrastive_oracle,
+    side_contrastive_oracle,
 )
 
 LN2 = math.log(2.0)
@@ -305,6 +308,51 @@ class TestContrastive:
     def test_denominator_sampling_needs_enough_users(self, rng):
         with pytest.raises(SamplingError):
             sample_ssl_denominators(np.array([0]), universe=4, count=4, rng=rng)
+
+    @given(
+        n=st.integers(min_value=1, max_value=9),
+        m=st.integers(min_value=1, max_value=9),
+        dual=st.booleans(),
+        dim=st.integers(min_value=1, max_value=8),
+        tau=st.floats(min_value=0.1, max_value=5.0),
+        scale=st.sampled_from((0.05, 1.0, 3.0)),
+        weight=st.floats(min_value=1e-3, max_value=1.0),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        data=st.data(),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_kernel_matches_previous_kernels(
+        self, n, m, dual, dim, tau, scale, weight, seed, data
+    ):
+        """In-batch is bit-exact; sampled changes the summation order only."""
+        layout = NodeLayout(n, m, dual)
+        rng = np.random.default_rng(seed)
+        z = scale * rng.standard_normal((layout.node_count, dim))
+        grad_bound = 1e-12 * weight * np.abs(z).max() / tau
+        for universe, active, passive in (
+            (n, layout.cand_active, layout.cand_passive),
+            (m, layout.job_active, layout.job_passive),
+        ):
+            chosen = data.draw(st.sets(st.integers(0, universe - 1)))
+            users = rng.permutation(np.array(sorted(chosen), dtype=np.int64))
+            want_grad, got_grad = np.zeros_like(z), np.zeros_like(z)
+            want = side_contrastive_oracle(
+                z, active(users), passive(users), tau, want_grad, weight
+            )
+            got = _side_contrastive(z, active, passive, users, tau, None, got_grad, weight)
+            assert got == want
+            np.testing.assert_array_equal(got_grad, want_grad)
+
+            count = data.draw(st.integers(0, universe - 1))
+            dens = sample_ssl_denominators(users, universe, count, rng)
+            want_grad, got_grad = np.zeros_like(z), np.zeros_like(z)
+            want = sampled_side_contrastive_oracle(
+                z, active(users), passive(users), active(dens), passive(dens),
+                tau, want_grad, weight,
+            )
+            got = _side_contrastive(z, active, passive, users, tau, dens, got_grad, weight)
+            assert got == pytest.approx(want, rel=1e-12, abs=0.0)
+            assert np.abs(got_grad - want_grad).max() <= grad_bound
 
     def test_sampled_full_batch_equals_in_batch(self, rng):
         n = m = 5
