@@ -20,7 +20,6 @@ import numpy as np
 
 from . import __version__
 from .corpus import (
-    DocTable,
     Kind,
     Side,
     SplitDataset,
@@ -39,10 +38,8 @@ from .errors import CheckpointError, ConfigError, DataFormatError, JobfitError
 from .evaluation import (
     Direction,
     DirectionReport,
-    RankingReport,
     build_eval_instances,
     evaluate,
-    interaction_counts,
     partner_maps,
     sparsity_breakdown,
 )
@@ -53,7 +50,6 @@ from .optim import (
     Checkpoint,
     InputFingerprint,
     TrainConfig,
-    ensure_checkpoint_matches,
     load_checkpoint,
     save_checkpoint,
     train,
@@ -123,8 +119,8 @@ class RunConfig:
 _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
 
 
-def _coerce(field_name: str, raw: str):
-    kind = _FIELD_TYPES[field_name]
+def _coerce(key: str, raw: str):
+    kind = _FIELD_TYPES[KEY_ALIASES.get(key, key)]
     try:
         if kind == "int":
             return int(raw)
@@ -132,7 +128,7 @@ def _coerce(field_name: str, raw: str):
             return float(raw)
         return raw
     except ValueError as exc:
-        raise ConfigError(f"key {field_name!r}: cannot parse {raw!r} as {kind}") from exc
+        raise ConfigError(f"key {key!r}: cannot parse {raw!r} as {kind}") from exc
 
 
 def parse_config_file(path: str | Path) -> dict[str, str]:
@@ -160,7 +156,7 @@ def make_run_config(pairs: dict[str, str]) -> RunConfig:
         field_name = KEY_ALIASES.get(key, key)
         if field_name not in _FIELD_TYPES:
             raise ConfigError(f"unknown config key {key!r}")
-        kwargs[field_name] = _coerce(field_name, raw)
+        kwargs[field_name] = _coerce(key, raw)
     cfg = RunConfig(**kwargs)
     validate_run_config(cfg)
     return cfg
@@ -397,35 +393,39 @@ def cmd_train(args: argparse.Namespace) -> int:
     return 0
 
 
-def _evaluate_checkpoint(cfg: RunConfig, dataset: SplitDataset, ckpt: Checkpoint, matches):
-    """Ranking instances for ``matches`` and their report on the checkpoint's ``z``."""
-    by_cand, by_job = partner_maps(dataset.all_matches)
+def _evaluate_checkpoint(cfg: RunConfig, ckpt: Checkpoint, split: str):
+    """Ranking instances for the stored ``split`` matches and their report on the stored ``z``.
+
+    Negatives exclude the matches of every split the checkpoint stores.
+    """
+    matches = ckpt.matches[split]
+    if len(matches) == 0:
+        raise DataFormatError(f"{split} split has no matches to evaluate")
+    by_cand, by_job = partner_maps(np.concatenate(list(ckpt.matches.values())))
     instances = build_eval_instances(
-        matches, by_cand, by_job, dataset.n, dataset.m, cfg.eval_seed, cfg.eval_negatives
+        matches, by_cand, by_job, ckpt.n, ckpt.m, cfg.eval_seed, cfg.eval_negatives
     )
     return instances, evaluate(ckpt.z, ckpt.layout, instances, k=cfg.k)
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
-    dataset = _load_dataset(cfg)
-    # Malformed document tables fail here with their own messages.
-    _load_docs(cfg, dataset.n, dataset.m)
     ckpt = load_checkpoint(args.checkpoint)
     _check_inputs(cfg, ckpt, args.checkpoint)
-    ensure_checkpoint_matches(ckpt, dataset.n, dataset.m, variant_for(cfg))
-    matches = dataset.test.matches if args.split == "test" else dataset.valid.matches
-    if len(matches) == 0:
-        raise DataFormatError(f"{args.split} split has no matches to evaluate")
-    instances, report = _evaluate_checkpoint(cfg, dataset, ckpt, matches)
+    variant = variant_for(cfg)
+    if variant != ckpt.variant:
+        raise CheckpointError(
+            f"checkpoint variant {ckpt.variant} does not match configured variant {variant}"
+        )
+    instances, report = _evaluate_checkpoint(cfg, ckpt, args.split)
 
     comments = provenance_lines(cfg, seed=cfg.eval_seed) + [f"k={cfg.k}", f"split={args.split}"]
     groups = {}
     header = "direction\tmetric\tvalue"
     if args.sparsity_groups:
-        cand_counts, job_counts = interaction_counts(dataset.train, dataset.n, dataset.m)
+        counts = ckpt.train_counts
         groups = sparsity_breakdown(
-            ckpt.z, ckpt.layout, instances, cand_counts, job_counts, k=cfg.k
+            ckpt.z, ckpt.layout, instances, counts[: ckpt.n], counts[ckpt.n :], k=cfg.k
         )
         header = "direction\tgroup\tmetric\tvalue"
     rows = []
@@ -449,7 +449,7 @@ def _parse_grid(axis: str, text: str) -> list[float] | list[int]:
     tokens = [t.strip() for t in text.split(",") if t.strip()]
     if not tokens:
         raise ConfigError(f"sweep grid for axis {axis!r} is empty")
-    values = [int(t) if axis == "layers" else float(t) for t in tokens]
+    values = [_coerce(axis, t) for t in tokens]
     deduped = []
     for v in values:
         if v in deduped:
@@ -473,9 +473,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         result = train(
             dataset, cand_docs, job_docs, train_config_for(point_cfg), variant_for(point_cfg)
         )
-        _, report = _evaluate_checkpoint(
-            point_cfg, dataset, result.checkpoint, dataset.valid.matches
-        )
+        _, report = _evaluate_checkpoint(point_cfg, result.checkpoint, "valid")
         fc, fj = report.for_candidates, report.for_jobs
         rows.append(
             f"{value}\t" + "\t".join(

@@ -9,18 +9,25 @@ embedding rows and (through the frozen document table) the text projection.
 
 from __future__ import annotations
 
+import math
 import struct
 import zlib
 from dataclasses import astuple, dataclass, field
 from pathlib import Path
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 from scipy.special import expit, logsumexp
 
 from .corpus import SplitDataset, write_atomic
 from .errors import CheckpointError, ConfigError, SamplingError, TrainingError
-from .evaluation import PartnerLists, build_eval_instances, evaluate, partner_maps
+from .evaluation import (
+    PartnerLists,
+    build_eval_instances,
+    evaluate,
+    interaction_counts,
+    partner_maps,
+)
 from .graph import SELF_EDGE_MODES, DualGraph, NodeLayout
 from .model import (
     ModelParams,
@@ -29,15 +36,19 @@ from .model import (
     build_variant_graph,
     check_finite,
     init_params,
+    node_doc_table,
     pair_scores,
     propagate,
 )
 
 CKPT_MAGIC = b"DPFCKPT1"
-CKPT_VERSION = 3
+CKPT_VERSION = 4
 # Marks a document table that had no file: the all-zero fallback of width d_o.
 ZERO_TABLE = bytes(32)
-_FINGERPRINT = struct.Struct("<?32s2q32s32s")
+# After the magic and version: sizes and variant, best epoch and metric, the
+# input fingerprint, and the match row counts of MATCH_SPLITS, in that order.
+_HEADER = struct.Struct("<6I4B2dI" "Id" "?32s2q32s32s" "3Q")
+MATCH_SPLITS = ("train", "valid", "test")
 
 
 @dataclass(frozen=True)
@@ -429,11 +440,14 @@ class InputFingerprint:
 
 @dataclass
 class Checkpoint:
-    """Trained parameters and the best epoch's final table ``z``.
+    """Trained parameters, the best epoch's final table ``z`` and the split it was trained on.
 
     ``z`` is ``propagate`` of the stored parameters over the training graph,
-    so reads score pairs from it directly. ``fingerprint`` is ``None`` until
-    the caller that knows the input files sets it.
+    so reads score pairs from it directly. ``matches`` maps each of
+    ``MATCH_SPLITS`` to its sorted (k, 2) match rows, and ``train_counts``
+    holds each user's training interactions, candidates first, so evaluation
+    reads no event log. ``fingerprint`` is ``None`` until the caller that
+    knows the input files sets it.
     """
 
     n: int
@@ -447,6 +461,8 @@ class Checkpoint:
     epoch: int
     best_metric: float
     z: np.ndarray
+    matches: dict[str, np.ndarray]
+    train_counts: np.ndarray
     fingerprint: InputFingerprint | None = None
 
     @property
@@ -460,8 +476,10 @@ def checkpoint_from(
     epoch: int,
     best_metric: float,
     z: np.ndarray,
+    matches: dict[str, np.ndarray],
+    train_counts: np.ndarray,
 ) -> Checkpoint:
-    """Snapshot of the parameters; ``z`` is kept, not copied."""
+    """Snapshot of the parameters; ``z``, ``matches`` and ``train_counts`` are kept, not copied."""
     layout = params.layout
     return Checkpoint(
         n=layout.n,
@@ -475,14 +493,14 @@ def checkpoint_from(
         epoch=epoch,
         best_metric=best_metric,
         z=z,
+        matches=matches,
+        train_counts=train_counts,
     )
 
 
 def params_from_checkpoint(
     ckpt: Checkpoint, cand_docs: np.ndarray, job_docs: np.ndarray
 ) -> ModelParams:
-    from .model import node_doc_table
-
     if cand_docs.shape[1] != ckpt.d_o:
         raise CheckpointError(
             f"checkpoint expects document dimension {ckpt.d_o}, got {cand_docs.shape[1]}"
@@ -492,34 +510,23 @@ def params_from_checkpoint(
 
 
 def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
-    variant = ckpt.variant
-    head = struct.pack(
-        "<6I4B2dI",
-        ckpt.n,
-        ckpt.m,
-        ckpt.d_e,
-        ckpt.d_t,
-        ckpt.d_o,
-        ckpt.layout.node_count,
-        int(variant.dual_graph),
-        int(variant.quadruple_loss),
-        SELF_EDGE_MODES.index(variant.self_edges),
-        0,
-        variant.ssl_weight,
-        variant.omega,
-        variant.layers,
-    )
-    tail = struct.pack("<Id", ckpt.epoch, ckpt.best_metric)
-    fp = ckpt.fingerprint
+    variant, fp = ckpt.variant, ckpt.fingerprint
     fp_fields = astuple(fp) if fp is not None else (ZERO_TABLE, 0, 0, ZERO_TABLE, ZERO_TABLE)
-    blob = bytearray()
-    blob += CKPT_MAGIC
-    blob += struct.pack("<I", CKPT_VERSION)
-    blob += head
-    blob += tail
-    blob += _FINGERPRINT.pack(fp is not None, *fp_fields)
+    matches = [ckpt.matches[name] for name in MATCH_SPLITS]
+    blob = bytearray(CKPT_MAGIC + struct.pack("<I", CKPT_VERSION))
+    blob += _HEADER.pack(
+        ckpt.n, ckpt.m, ckpt.d_e, ckpt.d_t, ckpt.d_o, ckpt.layout.node_count,
+        int(variant.dual_graph), int(variant.quadruple_loss),
+        SELF_EDGE_MODES.index(variant.self_edges), 0,
+        variant.ssl_weight, variant.omega, variant.layers,
+        ckpt.epoch, ckpt.best_metric,
+        fp is not None, *fp_fields,
+        *(len(rows) for rows in matches),
+    )
     for arr in (ckpt.embeddings, ckpt.projection, ckpt.z):
         blob += np.ascontiguousarray(arr, dtype="<f8").tobytes(order="C")
+    for arr in (*matches, ckpt.train_counts):
+        blob += np.ascontiguousarray(arr, dtype="<i8").tobytes(order="C")
     blob += struct.pack("<I", zlib.crc32(blob) & 0xFFFFFFFF)
     write_atomic(path, blob)
 
@@ -542,14 +549,11 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
             f"{path}: unsupported checkpoint version {version} (this jobfit reads version "
             f"{CKPT_VERSION}); retrain it with jobfit train"
         )
-    head = struct.unpack_from("<6I4B2dI", blob, offset)
-    offset += struct.calcsize("<6I4B2dI")
+    head = _HEADER.unpack_from(blob, offset)
+    offset += _HEADER.size
     n, m, d_e, d_t, d_o, node_count, dual, quad, self_idx, _pad = head[:10]
-    ssl_weight, omega, layers = head[10], head[11], head[12]
-    epoch, best_metric = struct.unpack_from("<Id", blob, offset)
-    offset += struct.calcsize("<Id")
-    has_fingerprint, *fingerprint = _FINGERPRINT.unpack_from(blob, offset)
-    offset += _FINGERPRINT.size
+    ssl_weight, omega, layers, epoch, best_metric, has_fingerprint = head[10:16]
+    fingerprint, match_counts = head[16:21], head[21:]
     if not 0 <= self_idx < len(SELF_EDGE_MODES):
         raise CheckpointError(f"{path}: invalid self-edge mode index {self_idx}")
     variant = VariantConfig(
@@ -567,18 +571,19 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
             f"dual={variant.dual_graph}"
         )
 
-    shapes = [(node_count, d_e), (d_t, d_o), (node_count, d_e + d_t)]
-    tensor_bytes = sum(8 * a * b for a, b in shapes)
-    if len(blob) - offset - 4 != tensor_bytes:
+    # Every stored element is 8 bytes: float64 tensors, then int64 rows and counts.
+    shapes = [("<f8", (node_count, d_e)), ("<f8", (d_t, d_o)), ("<f8", (node_count, d_e + d_t))]
+    shapes += [("<i8", (rows, 2)) for rows in match_counts] + [("<i8", (n + m,))]
+    if len(blob) - offset - 4 != sum(8 * math.prod(shape) for _, shape in shapes):
         raise CheckpointError(f"{path}: truncated checkpoint payload")
     arrays = []
-    for rows, cols in shapes:
-        size = 8 * rows * cols
+    for dtype, shape in shapes:
+        size = 8 * math.prod(shape)
         arrays.append(
-            np.frombuffer(blob[offset : offset + size], dtype="<f8").reshape(rows, cols).copy()
+            np.frombuffer(blob[offset : offset + size], dtype=dtype).reshape(shape).copy()
         )
         offset += size
-    emb, proj, z = arrays
+    emb, proj, z, *matches, train_counts = arrays
     return Checkpoint(
         n=int(n),
         m=int(m),
@@ -591,21 +596,10 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
         epoch=int(epoch),
         best_metric=float(best_metric),
         z=z,
+        matches=dict(zip(MATCH_SPLITS, matches)),
+        train_counts=train_counts,
         fingerprint=InputFingerprint(*fingerprint) if has_fingerprint else None,
     )
-
-
-def ensure_checkpoint_matches(
-    ckpt: Checkpoint, n: int, m: int, variant: VariantConfig | None = None
-) -> None:
-    if (ckpt.n, ckpt.m) != (n, m):
-        raise CheckpointError(
-            f"checkpoint was trained on n={ckpt.n}, m={ckpt.m}; data has n={n}, m={m}"
-        )
-    if variant is not None and variant != ckpt.variant:
-        raise CheckpointError(
-            f"checkpoint variant {ckpt.variant} does not match configured variant {variant}"
-        )
 
 
 @dataclass(frozen=True)
@@ -647,6 +641,9 @@ def train(
     if len(dataset.valid.matches) == 0:
         raise TrainingError("validation split has no matches, early stopping is undefined")
 
+    # What reads of the checkpoint need besides z.
+    matches = {name: getattr(dataset, name).matches for name in MATCH_SPLITS}
+    train_counts = np.concatenate(interaction_counts(dataset.train, n, m))
     graph = build_variant_graph(dataset.train, n, m, variant)
     layout = graph.layout
     params = init_params(layout, config.d_e, config.d_t, cand_docs, job_docs, config.seed)
@@ -709,7 +706,9 @@ def train(
         )
         if best is None or metric > best.best_metric:
             epochs_since_best = 0
-            best = checkpoint_from(params, variant, epoch, metric, val_state.z)
+            best = checkpoint_from(
+                params, variant, epoch, metric, val_state.z, matches, train_counts
+            )
         else:
             epochs_since_best += 1
             if epochs_since_best >= config.patience:
@@ -717,5 +716,5 @@ def train(
 
     if best is None:  # max_epochs == 0: the initial parameters
         z = propagate(params, graph, variant).z
-        best = checkpoint_from(params, variant, 0, float("nan"), z)
+        best = checkpoint_from(params, variant, 0, float("nan"), z, matches, train_counts)
     return TrainResult(checkpoint=best, history=history)

@@ -116,10 +116,11 @@ def spy_on(module, names, monkeypatch) -> list[str]:
     return calls
 
 
-def test_eval_loads_the_checkpoint_once_after_the_data(bench_run, monkeypatch):
+def test_eval_loads_only_the_checkpoint(bench_run, monkeypatch):
     """Run.eval_start times eval from its single cli.load_checkpoint call.
 
-    The test instances are built after it, inside the timed window.
+    Eval reads no event log or document table; the test instances are built
+    after the load, inside the timed window.
     """
     import jobfit.cli
 
@@ -127,8 +128,7 @@ def test_eval_loads_the_checkpoint_once_after_the_data(bench_run, monkeypatch):
                                 "partner_maps", "build_eval_instances"), monkeypatch)
     assert jobfit.cli.main(["eval", "--config", str(bench_run["config"]),
                             "--checkpoint", str(bench_run["checkpoint"]), "--split", "test"]) == 0
-    assert calls == ["_load_dataset", "_load_docs", "load_checkpoint",
-                     "partner_maps", "build_eval_instances"]
+    assert calls == ["load_checkpoint", "partner_maps", "build_eval_instances"]
 
 
 def test_train_builds_eval_instances_once(bench_run, monkeypatch, tmp_path):

@@ -309,6 +309,18 @@ class TestSweep:
         assert rc == 2
         assert "grid" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "axis, grid, token", [("tau", "0.1,abc", "abc"), ("layers", "1.5", "1.5")]
+    )
+    def test_unparsable_grid_value_exits_2(self, workdir, capsys, axis, grid, token):
+        rc = main(
+            ["sweep", "--config", str(workdir["config"]), "--axis", axis,
+             "--grid", grid, "--out", str(workdir["root"] / "x.tsv")]
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"key {axis!r}: cannot parse {token!r}" in err
+
     def test_default_grids_cover_all_axes(self):
         assert set(DEFAULT_GRIDS) == {"layers", "tau", "lambda", "omega"}
         for axis, text in DEFAULT_GRIDS.items():
@@ -349,19 +361,28 @@ class TestScorePair:
         assert rc == 2
         assert "out of range" in capsys.readouterr().err
 
-    def test_reads_the_stored_z_without_graph_work(self, workdir, capsys, monkeypatch):
-        args = ["score-pair", "--config", str(workdir["config"]),
-                "--checkpoint", str(workdir["run"] / "checkpoint.bin"),
-                "--candidate", "7", "--job", "2"]
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["score-pair", "--candidate", "7", "--job", "2"],
+            ["eval", "--split", "test"],
+            ["eval", "--split", "valid", "--sparsity-groups"],
+        ],
+        ids=["score-pair", "eval-test", "eval-valid-sparsity"],
+    )
+    def test_reads_the_stored_z_without_graph_work(self, workdir, capsys, monkeypatch, command):
+        args = [*command, "--config", str(workdir["config"]),
+                "--checkpoint", str(workdir["run"] / "checkpoint.bin")]
         assert main(args) == 0
         expected = capsys.readouterr().out
 
         def refuse(*args, **kwargs):
-            raise AssertionError("score-pair rebuilt state from the event log")
+            raise AssertionError(f"{command[0]} rebuilt state from the input files")
 
         for name, module in list(sys.modules.items()):
             if name.startswith("jobfit."):
-                for attr in ("load_events", "temporal_split", "build_graph", "propagate"):
+                for attr in ("load_events", "temporal_split", "load_doc_embeddings",
+                             "build_graph", "propagate"):
                     if hasattr(module, attr):
                         monkeypatch.setattr(module, attr, refuse)
         assert main(args) == 0
@@ -416,7 +437,7 @@ class TestTrainingInputs:
         err = capsys.readouterr().err
         assert ckpt in err and named in err and "differs" in err
 
-    @pytest.mark.parametrize("version", [1, 2])
+    @pytest.mark.parametrize("version", [1, 2, 3])
     def test_old_version_file_exits_2_with_retrain_hint(self, workdir, tmp_path, capsys, version):
         blob = bytearray((workdir["run"] / "checkpoint.bin").read_bytes())
         struct.pack_into("<I", blob, 8, version)

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from jobfit.corpus import InteractionSplit, SplitDataset
 from jobfit.errors import CheckpointError, ConfigError, SamplingError, TrainingError
-from jobfit.evaluation import partner_maps
+from jobfit.evaluation import interaction_counts, partner_maps
 from jobfit.graph import NodeLayout
 from jobfit.model import VariantConfig, build_variant_graph, init_params, node_init, propagate
 from jobfit.optim import (
@@ -22,7 +22,6 @@ from jobfit.optim import (
     batch_gradients,
     batch_loss,
     checkpoint_from,
-    ensure_checkpoint_matches,
     load_checkpoint,
     main_loss,
     params_from_checkpoint,
@@ -49,8 +48,9 @@ from conftest import (
 )
 
 LN2 = math.log(2.0)
-# Magic, version, shapes and variant, epoch and best metric, input fingerprint.
-CKPT_HEADER_BYTES = 8 + 4 + 48 + 12 + 113
+# Magic, version, shapes and variant, epoch and best metric, input fingerprint,
+# match row counts.
+CKPT_HEADER_BYTES = 8 + 4 + 48 + 12 + 113 + 24
 
 
 def tiny_dataset(seed=0, n=12, m=12, train_matches=12, valid_matches=4, test_matches=3):
@@ -483,11 +483,18 @@ class TestCheckpointIO:
         docs = tiny_docs(3, 2)
         params = init_params(layout, 4, 3, *docs, seed=2)
         z = np.random.default_rng(3).standard_normal((layout.node_count, 7))
-        ckpt = checkpoint_from(params, variant, epoch=9, best_metric=0.375, z=z)
+        matches = {
+            "train": np.array([[0, 0], [0, 1], [2, 1]]),
+            "valid": np.array([[1, 0]]),
+            "test": np.empty((0, 2), dtype=np.int64),
+        }
+        train_counts = np.array([4, 0, 2, 3, 1])
+        ckpt = checkpoint_from(params, variant, 9, 0.375, z, matches, train_counts)
         ckpt.fingerprint = fingerprint
         path = tmp_path / "model.ckpt"
         save_checkpoint(ckpt, path)
         elements = ckpt.embeddings.size + ckpt.projection.size + ckpt.z.size
+        elements += sum(rows.size for rows in matches.values()) + train_counts.size
         assert path.stat().st_size == CKPT_HEADER_BYTES + 8 * elements + 4
         return ckpt, load_checkpoint(path), path
 
@@ -500,6 +507,13 @@ class TestCheckpointIO:
         np.testing.assert_array_equal(loaded.embeddings, ckpt.embeddings)
         np.testing.assert_array_equal(loaded.projection, ckpt.projection)
         assert loaded.z.tobytes() == ckpt.z.tobytes()
+        assert list(loaded.matches) == ["train", "valid", "test"]
+        for name, rows in ckpt.matches.items():
+            assert loaded.matches[name].dtype == np.int64
+            assert loaded.matches[name].shape == (len(rows), 2)
+            np.testing.assert_array_equal(loaded.matches[name], rows)
+        assert loaded.train_counts.dtype == np.int64
+        np.testing.assert_array_equal(loaded.train_counts, ckpt.train_counts)
         assert loaded.fingerprint is None
 
     def test_fingerprint_roundtrip(self, tmp_path):
@@ -576,7 +590,20 @@ class TestCheckpointIO:
         with pytest.raises(CheckpointError, match="version 99"):
             load_checkpoint(path)
 
-    @pytest.mark.parametrize("version", [1, 2])
+    def test_altered_match_count_is_refused(self, tmp_path):
+        import zlib
+
+        _, _, path = self.roundtrip(tmp_path, VariantConfig())
+        blob = bytearray(path.read_bytes())
+        counts_at = CKPT_HEADER_BYTES - 24
+        assert struct.unpack_from("<3Q", blob, counts_at) == (3, 1, 0)
+        struct.pack_into("<3Q", blob, counts_at, 3, 1, 1)
+        body = bytes(blob[:-4])
+        path.write_bytes(body + struct.pack("<I", zlib.crc32(body) & 0xFFFFFFFF))
+        with pytest.raises(CheckpointError, match="truncated checkpoint payload"):
+            load_checkpoint(path)
+
+    @pytest.mark.parametrize("version", [1, 2, 3])
     def test_old_version_asks_for_retraining(self, tmp_path, version):
         import zlib
 
@@ -595,16 +622,6 @@ class TestCheckpointIO:
         np.testing.assert_array_equal(params.embeddings, loaded.embeddings)
         with pytest.raises(CheckpointError, match="dimension"):
             params_from_checkpoint(loaded, rng.standard_normal((3, 9)), rng.standard_normal((2, 9)))
-
-    def test_ensure_matches(self, tmp_path):
-        variant = VariantConfig()
-        _, loaded, _ = self.roundtrip(tmp_path, variant)
-        ensure_checkpoint_matches(loaded, 3, 2)
-        ensure_checkpoint_matches(loaded, 3, 2, variant)
-        with pytest.raises(CheckpointError, match="n="):
-            ensure_checkpoint_matches(loaded, 4, 2)
-        with pytest.raises(CheckpointError, match="variant"):
-            ensure_checkpoint_matches(loaded, 3, 2, VariantConfig(layers=1))
 
 
 class TestTrainLoop:
@@ -717,6 +734,17 @@ class TestTrainLoop:
         assert ckpt.z.dtype == np.float64
         assert ckpt.z.tobytes() == z.tobytes()
         assert result.checkpoint.z.tobytes() == z.tobytes()
+
+    def test_checkpoint_stores_the_split_it_was_trained_on(self, tmp_path):
+        ds = tiny_dataset()
+        result = train(ds, *tiny_docs(ds.n, ds.m), small_config(max_epochs=1), VariantConfig())
+        path = tmp_path / "trained.ckpt"
+        save_checkpoint(result.checkpoint, path)
+        loaded = load_checkpoint(path)
+        for name in ("train", "valid", "test"):
+            np.testing.assert_array_equal(loaded.matches[name], getattr(ds, name).matches)
+        cand_counts, job_counts = interaction_counts(ds.train, ds.n, ds.m)
+        np.testing.assert_array_equal(loaded.train_counts, np.concatenate([cand_counts, job_counts]))
 
     def test_checkpoint_roundtrips_after_training(self, tmp_path):
         ds = tiny_dataset()
