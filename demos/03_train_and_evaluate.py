@@ -68,9 +68,10 @@ for label, side in (("candidates", report.for_candidates), ("jobs", report.for_j
     )
 
 # Sparse users are the hard part of two-sided matching; group test anchors
-# by training interaction volume, sparsest fifth first.
+# by training interaction volume, sparsest fifth first. The report keeps each
+# instance's rank, so the groups are read from it without scoring again.
 cand_counts, job_counts = interaction_counts(dataset.train, dataset.n, dataset.m)
-groups = sparsity_breakdown(z, best.layout, instances, cand_counts, job_counts, k=5)
+groups = sparsity_breakdown(report, instances, cand_counts, job_counts)
 print("\ncandidate anchors by training activity (G1 = sparsest):")
 for gi, side in enumerate(groups[Direction.FOR_CANDIDATES], start=1):
     if side.count:

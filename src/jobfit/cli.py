@@ -423,10 +423,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
     groups = {}
     header = "direction\tmetric\tvalue"
     if args.sparsity_groups:
-        counts = ckpt.train_counts
-        groups = sparsity_breakdown(
-            ckpt.z, ckpt.layout, instances, counts[: ckpt.n], counts[ckpt.n :], k=cfg.k
-        )
+        groups = sparsity_breakdown(report, instances, *np.split(ckpt.train_counts, [ckpt.n]))
         header = "direction\tgroup\tmetric\tvalue"
     rows = []
     for direction, rep in (
@@ -464,12 +461,15 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     axis = args.axis or cfg.sweep_axis
     grid_text = args.grid or cfg.sweep_grid or DEFAULT_GRIDS[axis]
     grid = _parse_grid(axis, grid_text)
+    points = [replace(cfg, **{KEY_ALIASES.get(axis, axis): value}) for value in grid]
+    # tau and lambda act only through the contrastive term.
+    if axis in ("tau", "lambda") and all(variant_for(p).ssl_weight == 0 for p in points):
+        raise ConfigError(f"variant {cfg.variant!r} has no contrastive term for {axis} to act on")
     dataset = _load_dataset(cfg)
     cand_docs, job_docs = _load_docs(cfg, dataset.n, dataset.m)
 
     rows = []
-    for value in grid:
-        point_cfg = replace(cfg, **{KEY_ALIASES.get(axis, axis): value})
+    for value, point_cfg in zip(grid, points):
         result = train(
             dataset, cand_docs, job_docs, train_config_for(point_cfg), variant_for(point_cfg)
         )
@@ -608,6 +608,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
+        # Output files get their directory first, so a long run can write its result.
+        for out in (getattr(args, dest, None) for dest in ("out", "report", "dump_edges")):
+            if out:
+                Path(out).parent.mkdir(parents=True, exist_ok=True)
         return args.func(args)
     except (ConfigError, DataFormatError, CheckpointError) as exc:
         print(f"error: {exc}", file=sys.stderr)

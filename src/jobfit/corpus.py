@@ -12,6 +12,7 @@ import enum
 import logging
 import os
 import re
+import secrets
 import struct
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -177,9 +178,13 @@ def load_events(path: str | Path) -> EventLog:
 
 
 def write_atomic(path: str | Path, data: bytes) -> None:
-    """Write data through a sibling temporary file, so path is never partial."""
+    """Write data through a sibling temporary file, so path is never partial.
+
+    Each call creates its own temporary file; of concurrent writers the last wins.
+    """
     path = Path(path)
-    tmp = path.with_name(f".{path.name}.tmp")
+    tmp = path.with_name(f".{path.name}.{secrets.token_hex(8)}.tmp")
+    tmp.touch(exist_ok=False)
     try:
         tmp.write_bytes(data)
         os.replace(tmp, path)

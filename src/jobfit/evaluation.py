@@ -10,16 +10,16 @@ pessimistically, placing the positive last among equal scores.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Iterable, Mapping, Sequence
 
 import numpy as np
 
-from .errors import DataFormatError, NumericsError, SamplingError
+from .errors import DataFormatError, SamplingError
 from .corpus import InteractionSplit, pair_rows
 from .graph import NodeLayout
-from .model import pair_scores
+from .model import check_finite, pair_scores
 
 
 class Direction(enum.Enum):
@@ -38,9 +38,12 @@ class DirectionReport:
 
 @dataclass(frozen=True)
 class RankingReport:
+    """Mean metrics per direction; ``ranks`` holds each direction's per-instance ranks."""
+
     k: int
     for_candidates: DirectionReport
     for_jobs: DirectionReport
+    ranks: Mapping[Direction, np.ndarray] = field(compare=False, repr=False)
 
 
 @dataclass(frozen=True, eq=False)
@@ -179,6 +182,29 @@ def build_eval_instances(
     }
 
 
+def _ranks(y: np.ndarray, what: str) -> np.ndarray:
+    """Rank of column 0 in each row of scores ``y``, counting every other item scored >= it."""
+    check_finite(y, what)
+    return 1 + np.sum(y[:, 1:] >= y[:, :1], axis=1)
+
+
+def _direction_report(rank: np.ndarray, k: int, mask: np.ndarray | None = None) -> DirectionReport:
+    """Count and mean recall@k, precision@k, ndcg@k and MRR over ``rank[mask]``; NaN if empty."""
+    if mask is not None:
+        rank = rank[mask]
+    if rank.size == 0:
+        nan = float("nan")
+        return DirectionReport(0, nan, nan, nan, nan)
+    hit = (rank <= k).astype(np.float64)
+    return DirectionReport(
+        count=rank.size,
+        recall=float(np.mean(hit)),
+        precision=float(np.mean(hit / k)),
+        ndcg=float(np.mean(np.where(rank <= k, 1.0 / np.log2(rank + 1), 0.0))),
+        mrr=float(np.mean(1.0 / rank)),
+    )
+
+
 def rank_metrics(
     scores: Sequence[float], positive_index: int, k: int = 5
 ) -> tuple[float, float, float, float]:
@@ -188,75 +214,23 @@ def rank_metrics(
     so equal scores push the positive down (pessimistic ties).
     """
     scores = np.asarray(scores, dtype=np.float64)
-    if not np.all(np.isfinite(scores)):
-        raise NumericsError("ranking scores contain non-finite values")
-    positive = scores[positive_index]
-    others = np.delete(scores, positive_index)
-    rank = 1 + int(np.sum(others >= positive))
-    hit = 1.0 if rank <= k else 0.0
-    ndcg = 1.0 / np.log2(rank + 1) if rank <= k else 0.0
-    return hit, hit / k, float(ndcg), 1.0 / rank
-
-
-def _direction_arrays(
-    z: np.ndarray,
-    layout: NodeLayout,
-    instances: Mapping[Direction, InstanceArrays],
-    direction: Direction,
-    k: int,
-) -> dict[str, np.ndarray]:
-    anchors, items = instances[direction].anchors, instances[direction].items
-    if anchors.size == 0:
-        return {"anchor": anchors}
-    width = items.shape[1]
-    anchor_grid = np.repeat(anchors[:, None], width, axis=1)
-    if direction is Direction.FOR_CANDIDATES:
-        _, _, y = pair_scores(z, layout, anchor_grid.ravel(), items.ravel())
-    else:
-        _, _, y = pair_scores(z, layout, items.ravel(), anchor_grid.ravel())
-    y = y.reshape(len(anchors), width)
-    if not np.all(np.isfinite(y)):
-        raise NumericsError("evaluation scores contain non-finite values")
-    rank = 1 + np.sum(y[:, 1:] >= y[:, :1], axis=1)
-    hit = (rank <= k).astype(np.float64)
-    return {
-        "anchor": anchors,
-        "rank": rank,
-        "recall": hit,
-        "precision": hit / k,
-        "ndcg": np.where(rank <= k, 1.0 / np.log2(rank + 1), 0.0),
-        "mrr": 1.0 / rank,
-    }
-
-
-def _report_from(table: dict[str, np.ndarray], mask: np.ndarray | None = None) -> DirectionReport:
-    anchors = table["anchor"]
-    if mask is None:
-        mask = np.ones(anchors.shape[0], dtype=bool)
-    count = int(np.sum(mask))
-    if count == 0:
-        nan = float("nan")
-        return DirectionReport(0, nan, nan, nan, nan)
-    return DirectionReport(
-        count=count,
-        recall=float(np.mean(table["recall"][mask])),
-        precision=float(np.mean(table["precision"][mask])),
-        ndcg=float(np.mean(table["ndcg"][mask])),
-        mrr=float(np.mean(table["mrr"][mask])),
-    )
+    row = np.concatenate(([scores[positive_index]], np.delete(scores, positive_index)))
+    report = _direction_report(_ranks(row[None, :], "ranking scores"), k)
+    return report.recall, report.precision, report.ndcg, report.mrr
 
 
 def evaluate(
     z: np.ndarray, layout: NodeLayout, instances: Mapping[Direction, InstanceArrays], k: int = 5
 ) -> RankingReport:
-    """Score every instance against propagated representations and average."""
-    cand_table = _direction_arrays(z, layout, instances, Direction.FOR_CANDIDATES, k)
-    job_table = _direction_arrays(z, layout, instances, Direction.FOR_JOBS, k)
-    return RankingReport(
-        k=k,
-        for_candidates=_report_from(cand_table),
-        for_jobs=_report_from(job_table),
-    )
+    """Score and rank every instance once against propagated representations, and average."""
+    ranks = {}
+    for direction in Direction:
+        anchors, items = instances[direction].anchors, instances[direction].items
+        pairs = np.repeat(anchors, items.shape[1]), items.ravel()
+        cands, jobs = pairs if direction is Direction.FOR_CANDIDATES else pairs[::-1]
+        y = pair_scores(z, layout, cands, jobs)[2].reshape(items.shape)
+        ranks[direction] = _ranks(y, f"evaluation scores for {direction.value}")
+    return RankingReport(k, *(_direction_report(ranks[d], k) for d in Direction), ranks)
 
 
 def interaction_counts(split: InteractionSplit, n: int, m: int) -> tuple[np.ndarray, np.ndarray]:
@@ -306,36 +280,24 @@ def partition_by_mass(counts: np.ndarray, groups: int = 5) -> list[np.ndarray]:
 
 
 def sparsity_breakdown(
-    z: np.ndarray,
-    layout: NodeLayout,
+    report: RankingReport,
     instances: Mapping[Direction, InstanceArrays],
     cand_counts: np.ndarray,
     job_counts: np.ndarray,
-    k: int = 5,
     groups: int = 5,
 ) -> dict[Direction, list[DirectionReport]]:
-    """Recompute each direction's metrics within sparsity groups of anchors.
+    """Each direction's metrics within sparsity groups of anchors, from ``report``'s ranks.
 
-    Group 1 holds the users with the fewest training interactions; counts
-    come from the training split so the breakdown reflects cold-start users.
+    ``report`` must come from ``evaluate`` over ``instances``. Group 1 holds
+    the users with the fewest training interactions; counts come from the
+    training split so the breakdown reflects cold-start users.
     """
-    group_of_cand = np.empty(len(cand_counts), dtype=np.int64)
-    for gi, members in enumerate(partition_by_mass(cand_counts, groups)):
-        group_of_cand[members] = gi
-    group_of_job = np.empty(len(job_counts), dtype=np.int64)
-    for gi, members in enumerate(partition_by_mass(job_counts, groups)):
-        group_of_job[members] = gi
-
     out: dict[Direction, list[DirectionReport]] = {}
-    for direction, group_of in (
-        (Direction.FOR_CANDIDATES, group_of_cand),
-        (Direction.FOR_JOBS, group_of_job),
-    ):
-        table = _direction_arrays(z, layout, instances, direction, k)
-        anchors = table["anchor"]
-        reports = []
-        for gi in range(groups):
-            mask = group_of[anchors] == gi if anchors.size else np.empty(0, dtype=bool)
-            reports.append(_report_from(table, mask))
-        out[direction] = reports
+    for direction, counts in zip(Direction, (cand_counts, job_counts)):
+        group_of = np.empty(len(counts), dtype=np.int64)
+        for gi, members in enumerate(partition_by_mass(counts, groups)):
+            group_of[members] = gi
+        group = group_of[instances[direction].anchors]
+        rank = report.ranks[direction]
+        out[direction] = [_direction_report(rank, report.k, group == gi) for gi in range(groups)]
     return out

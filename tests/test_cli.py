@@ -16,6 +16,7 @@ import numpy as np
 import pytest
 
 import jobfit
+from jobfit import evaluation
 from jobfit.cli import (
     DEFAULT_GRIDS,
     KEY_ALIASES,
@@ -254,6 +255,32 @@ class TestEval:
         )
         assert sum(counts) == all_count
 
+    def test_sparsity_groups_score_each_instance_once(self, workdir, monkeypatch):
+        calls = []
+
+        def counting_pair_scores(*args):
+            calls.append(args)
+            return real_pair_scores(*args)
+
+        real_pair_scores = evaluation.pair_scores
+        monkeypatch.setattr(evaluation, "pair_scores", counting_pair_scores)
+        rc = main(
+            ["eval", "--config", str(workdir["config"]),
+             "--checkpoint", str(workdir["run"] / "checkpoint.bin"),
+             "--split", "valid", "--sparsity-groups"]
+        )
+        assert rc == 0
+        assert len(calls) == 2  # one grid per direction
+
+    def test_report_directory_is_made(self, workdir, tmp_path):
+        report = tmp_path / "nodir" / "sub" / "report.tsv"
+        rc = main(
+            ["eval", "--config", str(workdir["config"]),
+             "--checkpoint", str(workdir["run"] / "checkpoint.bin"), "--report", str(report)]
+        )
+        assert rc == 0
+        assert report.read_text().startswith("# tool=jobfit")
+
     def test_variant_mismatch_exits_2(self, workdir, capsys):
         rc = main(
             ["eval", "--config", str(workdir["config"]), "--variant", "no-ssl",
@@ -294,6 +321,43 @@ class TestSweep:
         assert lines[2].split("\t")[0] == "1"
         stdout = capsys.readouterr().out
         assert "layers=0:" in stdout and "layers=1:" in stdout
+
+    def test_out_directory_is_made_before_training(self, workdir, tmp_path, monkeypatch):
+        out = tmp_path / "nodir" / "sub" / "s.tsv"
+        real_train = jobfit.cli.train
+
+        def train_after_mkdir(*args):
+            assert out.parent.is_dir()
+            return real_train(*args)
+
+        monkeypatch.setattr(jobfit.cli, "train", train_after_mkdir)
+        rc = main(
+            ["sweep", "--config", str(workdir["config"]), "--set", "max_epochs=1",
+             "--axis", "layers", "--grid", "0", "--out", str(out)]
+        )
+        assert rc == 0
+        assert out.read_text().splitlines()[-1].startswith("0\t")
+
+    @pytest.mark.parametrize(
+        "variant, axis, grid",
+        [("no-ssl", "tau", "0.5,5"), ("no-ssl", "lambda", "0.1,0.2"), ("full", "lambda", "0")],
+    )
+    def test_axis_without_contrastive_term_exits_2_before_training(
+        self, workdir, tmp_path, capsys, monkeypatch, variant, axis, grid
+    ):
+        def no_training(*args):
+            raise AssertionError("trained a grid point")
+
+        monkeypatch.setattr(jobfit.cli, "train", no_training)
+        out = tmp_path / "s.tsv"
+        rc = main(
+            ["sweep", "--config", str(workdir["config"]), "--variant", variant,
+             "--axis", axis, "--grid", grid, "--out", str(out)]
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert f"variant {variant!r} has no contrastive term for {axis}" in err
+        assert not out.exists()
 
     def test_duplicate_grid_values_warn_and_collapse(self, caplog):
         with caplog.at_level(logging.WARNING, logger="jobfit.cli"):

@@ -1,5 +1,7 @@
 """Event log IO, temporal splitting, embedding tables, synthetic corpus."""
 
+import os
+import stat
 import struct
 
 from pathlib import Path
@@ -21,6 +23,7 @@ from jobfit.corpus import (
     load_events,
     split_to_log,
     temporal_split,
+    write_atomic,
     write_doc_embeddings,
     write_events,
 )
@@ -337,6 +340,31 @@ class TestAtomicWrites:
         monkeypatch.undo()
         assert path.read_bytes() == before
         assert sorted(p.name for p in tmp_path.iterdir()) == [path.name]
+
+    def test_interleaved_writers_do_not_share_a_temporary_file(self, tmp_path, monkeypatch):
+        # A second writer runs between the first one's write and its replace.
+        # Sharing one temporary name, it would publish its bytes through the
+        # first writer's file and leave that writer's replace nothing to move.
+        path = tmp_path / "out.tsv"
+        real_replace = os.replace
+
+        def second_writer_then_replace(src, dst):
+            monkeypatch.setattr(os, "replace", real_replace)
+            write_atomic(path, b"second")
+            assert path.read_bytes() == b"second"
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", second_writer_then_replace)
+        write_atomic(path, b"first")
+        assert path.read_bytes() == b"first"
+        assert sorted(p.name for p in tmp_path.iterdir()) == [path.name]
+
+    def test_outputs_keep_the_plain_file_mode(self, tmp_path):
+        plain = tmp_path / "plain"
+        plain.write_bytes(b"x")
+        write_atomic(tmp_path / "atomic", b"x")
+        mode = stat.S_IMODE((tmp_path / "atomic").stat().st_mode)
+        assert mode == stat.S_IMODE(plain.stat().st_mode)
 
 
 class TestSyntheticGenerator:

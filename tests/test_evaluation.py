@@ -1,6 +1,8 @@
 """Ranked evaluation, tie handling, sparsity partitioning."""
 
 import math
+import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -295,6 +297,41 @@ class TestEvaluate:
         assert math.isnan(report.for_jobs.mrr)
         assert report.for_candidates.count == 1
 
+    def test_report_keeps_ranks_outside_equality(self, rng):
+        layout = NodeLayout(4, 4)
+        z = rng.standard_normal((layout.node_count, 3))
+        instances = {
+            d: InstanceArrays(np.array([0, 2]), np.array([[1, 0, 3], [2, 1, 0]])) for d in Direction
+        }
+        report = evaluate(z, layout, instances, k=2)
+        for direction, side in zip(Direction, (report.for_candidates, report.for_jobs)):
+            rank = report.ranks[direction]
+            assert rank.shape == (2,) and 1 <= rank.min() <= rank.max() <= 3
+            assert side.mrr == np.mean(1.0 / rank)
+        assert "ranks" not in repr(report)
+        assert report == replace(report, ranks={})
+
+    @pytest.mark.parametrize(
+        "node, user, direction, rows",
+        [("cand_active", 3, "candidates", "[1, 3]"), ("job_active", 2, "jobs", "[1, 2]")],
+    )
+    def test_non_finite_scores_name_direction_and_rows(self, rng, node, user, direction, rows):
+        layout = NodeLayout(5, 5)
+        z = rng.standard_normal((layout.node_count, 3))
+        z[getattr(layout, node)(user)] = np.nan
+        # Job 2 is no item of the candidate rows, candidate 3 none of the job rows.
+        instances = {
+            Direction.FOR_CANDIDATES: InstanceArrays(
+                np.array([0, 3, 1, 3]), np.array([[0, 1], [1, 0], [0, 1], [4, 1]])
+            ),
+            Direction.FOR_JOBS: InstanceArrays(
+                np.array([1, 2, 2]), np.array([[0, 1], [0, 1], [1, 0]])
+            ),
+        }
+        message = f"non-finite values in evaluation scores for {direction}, first rows {rows}"
+        with pytest.raises(NumericsError, match=re.escape(message)):
+            evaluate(z, layout, instances, k=1)
+
 
 class TestInteractionCounts:
     def test_counts_all_kinds(self):
@@ -362,9 +399,8 @@ class TestSparsityBreakdown:
                                          num_negatives=5)
         cand_counts = rng.integers(1, 9, size=n)
         job_counts = rng.integers(1, 9, size=m)
-        breakdown = sparsity_breakdown(z, layout, instances, cand_counts, job_counts,
-                                       k=3, groups=5)
         overall = evaluate(z, layout, instances, k=3)
+        breakdown = sparsity_breakdown(overall, instances, cand_counts, job_counts, groups=5)
         for direction, total_report in (
             (Direction.FOR_CANDIDATES, overall.for_candidates),
             (Direction.FOR_JOBS, overall.for_jobs),
@@ -386,10 +422,42 @@ class TestSparsityBreakdown:
         by_cand, by_job = partner_maps(matches)
         instances = build_eval_instances(matches, by_cand, by_job, n, m, seed=2,
                                          num_negatives=3)
-        breakdown = sparsity_breakdown(z, layout, instances, cand_counts, job_counts,
-                                       k=2, groups=5)
+        report = evaluate(z, layout, instances, k=2)
+        breakdown = sparsity_breakdown(report, instances, cand_counts, job_counts, groups=5)
         cand_reports = breakdown[Direction.FOR_CANDIDATES]
         # candidate 0 (count 1) sits alone in the sparsest bucket's anchors
         assert cand_reports[0].count == 1
         # candidate 9 (count 40) is the densest bucket alone
         assert cand_reports[-1].count == 1
+
+    def test_each_group_equals_evaluate_over_its_instances(self, rng):
+        n, m = 12, 12
+        layout = NodeLayout(n, m)
+        z = rng.standard_normal((layout.node_count, 4))
+        cand_counts = rng.integers(1, 9, size=n)
+        job_counts = rng.integers(1, 9, size=m)
+        # The sparsest candidates have no match, so their group has no instances.
+        sparsest = set(partition_by_mass(cand_counts, 5)[0].tolist())
+        matches = {(c, j) for c in range(n) for j in (c * 5 % m, (c + 1) % m) if c not in sparsest}
+        by_cand, by_job = partner_maps(matches)
+        instances = build_eval_instances(matches, by_cand, by_job, n, m, seed=4,
+                                         num_negatives=4)
+        report = evaluate(z, layout, instances, k=2)
+        breakdown = sparsity_breakdown(report, instances, cand_counts, job_counts, groups=5)
+        empty = 0
+        for direction, counts in zip(Direction, (cand_counts, job_counts)):
+            for members, got in zip(partition_by_mass(counts, 5), breakdown[direction]):
+                keep = np.isin(instances[direction].anchors, members)
+                if not keep.any():
+                    empty += 1
+                    assert got.count == 0
+                    assert all(math.isnan(x) for x in (got.recall, got.precision, got.ndcg, got.mrr))
+                    continue
+                subset = dict(instances)
+                subset[direction] = InstanceArrays(
+                    instances[direction].anchors[keep], instances[direction].items[keep]
+                )
+                alone = evaluate(z, layout, subset, k=2)
+                want = alone.for_candidates if direction is Direction.FOR_CANDIDATES else alone.for_jobs
+                assert got == want
+        assert empty >= 1
