@@ -17,6 +17,7 @@ from pathlib import Path
 from typing import Callable
 
 import numpy as np
+import scipy.sparse as sp
 from scipy.special import expit, logsumexp
 
 from .corpus import SplitDataset, write_atomic
@@ -93,15 +94,11 @@ def softplus(x):
 
 
 def scatter_add_rows(out: np.ndarray, ids: np.ndarray, rows: np.ndarray) -> None:
-    """out[ids] += rows with repeated ids accumulated, deterministic order."""
+    """out[ids] += rows, repeated ids summed in input order by one segment-sum product."""
     ids = np.asarray(ids)
-    if ids.size == 0:
-        return
+    indptr = np.r_[0, np.cumsum(np.bincount(ids, minlength=len(out)))]
     order = np.argsort(ids, kind="stable")
-    ids_sorted = ids[order]
-    rows_sorted = rows[order]
-    starts = np.flatnonzero(np.r_[True, ids_sorted[1:] != ids_sorted[:-1]])
-    out[ids_sorted[starts]] += np.add.reduceat(rows_sorted, starts, axis=0)
+    out += sp.csr_matrix((np.ones(ids.size), order, indptr), shape=(len(out), ids.size)) @ rows
 
 
 def sample_quadruples(
@@ -191,8 +188,8 @@ def _side_contrastive(
     anchor itself; the numerator is its own active/passive agreement. With
     ``dens`` None the set is the whole batch and C is ``users``. Otherwise row
     i of ``dens`` is anchor i's set (the anchor in column 0), C is every user
-    in ``dens``, and scores outside the row are -inf. Log-sum-exp keeps
-    everything finite. Returns the sum (not mean) over anchors.
+    in ``dens``, and only the row's S + 1 scores are gathered into the
+    log-sum-exp. Returns the sum (not mean) over anchors.
     """
     batch = len(users)
     if batch == 0:
@@ -202,25 +199,30 @@ def _side_contrastive(
         cols, own = users, rows
     else:
         cols, where = np.unique(dens, return_inverse=True)
-        own = np.searchsorted(cols, users)
+        where = where.reshape(dens.shape)
+        own = where[:, 0]
     a_cols = z[active(cols)]
     p_cols = z[passive(cols)]
     a, p = a_cols[own], p_cols[own]
     s1 = (a @ p_cols.T) / tau
-    # s2[i, c] = a_c . p_i / tau. The copy makes it C-contiguous: logsumexp
-    # sums an F-ordered array's rows in another order.
-    s2 = ((a_cols @ p.T) / tau).T.copy()
-    if dens is not None:
-        outside = np.ones(s1.shape, dtype=bool)
-        outside[rows[:, None], where.reshape(dens.shape)] = False
-        s1[outside] = -np.inf
-        s2[outside] = -np.inf
-    logden = np.logaddexp(logsumexp(s1, axis=1), logsumexp(s2, axis=1))
-    loss = float(np.sum(logden - s1[rows, own]))
+    s2 = ((a_cols @ p.T) / tau).T  # s2[i, c] = a_c . p_i / tau
+    if dens is None:
+        # The copy makes s2 C-contiguous: logsumexp sums an F-ordered array's
+        # rows in another order.
+        live1, live2, pos = s1, s2.copy(), own
+    else:
+        live1, live2, pos = np.take_along_axis(s1, where, 1), np.take_along_axis(s2, where, 1), 0
+    logden = np.logaddexp(logsumexp(live1, axis=1), logsumexp(live2, axis=1))
+    loss = float(np.sum(logden - live1[rows, pos]))
     if grad_out is not None:
-        g1 = np.exp(s1 - logden[:, None])
-        w2 = np.exp(s2 - logden[:, None])
-        g1[rows, own] -= 1.0
+        g1 = np.exp(live1 - logden[:, None])
+        w2 = np.exp(live2 - logden[:, None])
+        g1[rows, pos] -= 1.0
+        if dens is not None:  # back to C's columns, zero outside each row's set
+            g1_cols, w2_cols = np.zeros(s1.shape), np.zeros(s1.shape)
+            np.put_along_axis(g1_cols, where, g1, 1)
+            np.put_along_axis(w2_cols, where, w2, 1)
+            g1, w2 = g1_cols, w2_cols
         # Gradients in C's row space; the anchors' own rows are part of C.
         d_active = w2.T @ p
         d_active[own] += g1 @ p_cols
@@ -303,30 +305,20 @@ def _losses_and_score_grads(
     grad_out: np.ndarray | None,
 ) -> tuple[float, float]:
     cands, jobs, neg_cands, neg_jobs = quads
-    _, _, y_pos = pair_scores(z, layout, cands, jobs)
-    _, _, y_nj = pair_scores(z, layout, cands, neg_jobs)
-    _, _, y_nc = pair_scores(z, layout, neg_cands, jobs)
     if len(cands) == 0:
         raise TrainingError("empty batch of positive pairs")
-
-    loss_main, (w_pos, w_nj, w_nc) = _main_loss_and_weights(
-        y_pos, y_nj, y_nc, variant.quadruple_loss
-    )
+    # The positive, negative-job and negative-candidate pairs, in three blocks.
+    pair_cands = np.concatenate([cands, cands, neg_cands])
+    pair_jobs = np.concatenate([jobs, neg_jobs, jobs])
+    y = pair_scores(z, layout, pair_cands, pair_jobs)[2]
+    loss_main, weights = _main_loss_and_weights(*np.split(y, 3), variant.quadruple_loss)
     if grad_out is not None:
-        for cand_idx, job_idx, w in (
-            (cands, jobs, w_pos),
-            (cands, neg_jobs, w_nj),
-            (neg_cands, jobs, w_nc),
-        ):
-            ca = layout.cand_active(cand_idx)
-            cp = layout.cand_passive(cand_idx)
-            ja = layout.job_active(job_idx)
-            jp = layout.job_passive(job_idx)
-            half = 0.5 * w[:, None]
-            scatter_add_rows(grad_out, ca, half * z[jp])
-            scatter_add_rows(grad_out, jp, half * z[ca])
-            scatter_add_rows(grad_out, ja, half * z[cp])
-            scatter_add_rows(grad_out, cp, half * z[ja])
+        ca, cp = layout.cand_active(pair_cands), layout.cand_passive(pair_cands)
+        ja, jp = layout.job_active(pair_jobs), layout.job_passive(pair_jobs)
+        half = np.tile(0.5 * np.concatenate(weights), 4)[:, None]
+        scatter_add_rows(
+            grad_out, np.concatenate([ca, jp, ja, cp]), half * z[np.concatenate([jp, ca, cp, ja])]
+        )
 
     loss_ssl = 0.0
     if variant.ssl_weight > 0:
@@ -635,6 +627,11 @@ def train(
     config.validate()
     variant.validate()
     n, m = dataset.n, dataset.m
+    if variant.ssl_weight > 0 and config.ssl_negatives >= min(n, m) > 0:
+        raise ConfigError(
+            f"ssl_negatives must be below min(n, m) with the contrastive term on, "
+            f"got {config.ssl_negatives} for n={n} candidates and m={m} jobs"
+        )
     train_matches = dataset.train.matches
     if len(train_matches) == 0:
         raise TrainingError("training split has no matches")

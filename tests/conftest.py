@@ -17,7 +17,8 @@ from scipy.special import logsumexp
 from jobfit.corpus import InteractionSplit
 from jobfit.errors import SamplingError
 from jobfit.evaluation import Direction, partner_maps
-from jobfit.optim import scatter_add_rows
+from jobfit.model import pair_scores
+from jobfit.optim import _main_loss_and_weights
 
 
 def make_split(applies=(), reachouts=(), matches=()) -> InteractionSplit:
@@ -140,10 +141,55 @@ def naive_rank_metrics(scores, positive_index: int, k: int):
     return recall, precision, ndcg, 1.0 / rank
 
 
+# scatter_add_rows as it was before it became one segment-sum product: one
+# reduceat over the id-sorted rows, which sums each segment in its own order.
+def scatter_add_rows_oracle(out: np.ndarray, ids: np.ndarray, rows: np.ndarray) -> None:
+    """out[ids] += rows with repeated ids accumulated, deterministic order."""
+    ids = np.asarray(ids)
+    if ids.size == 0:
+        return
+    order = np.argsort(ids, kind="stable")
+    ids_sorted = ids[order]
+    rows_sorted = rows[order]
+    starts = np.flatnonzero(np.r_[True, ids_sorted[1:] != ids_sorted[:-1]])
+    out[ids_sorted[starts]] += np.add.reduceat(rows_sorted, starts, axis=0)
+
+
+def main_score_grads_oracle(
+    z, layout, quads, quadruple: bool, grad_out: np.ndarray, magnitude_out: np.ndarray
+) -> float:
+    """The main loss and its score gradients as three pair_scores calls and 12 scatters.
+
+    Each of the positive, negative-job and negative-candidate pair sets is
+    scored alone, and each role of each set is scattered into ``grad_out``
+    with ``scatter_add_rows_oracle``. ``magnitude_out`` gets the same sums
+    over absolute values, the scale of their rounding. Returns the main loss.
+    """
+    cands, jobs, neg_cands, neg_jobs = quads
+    _, _, y_pos = pair_scores(z, layout, cands, jobs)
+    _, _, y_nj = pair_scores(z, layout, cands, neg_jobs)
+    _, _, y_nc = pair_scores(z, layout, neg_cands, jobs)
+    loss_main, (w_pos, w_nj, w_nc) = _main_loss_and_weights(y_pos, y_nj, y_nc, quadruple)
+    for cand_idx, job_idx, w in (
+        (cands, jobs, w_pos),
+        (cands, neg_jobs, w_nj),
+        (neg_cands, jobs, w_nc),
+    ):
+        ca = layout.cand_active(cand_idx)
+        cp = layout.cand_passive(cand_idx)
+        ja = layout.job_active(job_idx)
+        jp = layout.job_passive(job_idx)
+        half = 0.5 * w[:, None]
+        for ids, others in ((ca, jp), (jp, ca), (ja, cp), (cp, ja)):
+            scatter_add_rows_oracle(grad_out, ids, half * z[others])
+            scatter_add_rows_oracle(magnitude_out, ids, np.abs(half * z[others]))
+    return loss_main
+
+
 # The contrastive kernels as they were before one kernel served both forms:
 # in-batch scores from one (batch, batch) product, sampled scores from
 # (batch, S + 1, d) gathers, and every gradient row scattered with
-# scatter_add_rows. The in-batch form is the bit-exact reference.
+# scatter_add_rows_oracle. The in-batch form is the bit-exact reference.
 
 
 def side_contrastive_oracle(
@@ -178,8 +224,8 @@ def side_contrastive_oracle(
         g1[np.arange(batch), np.arange(batch)] -= 1.0
         da = (g1 @ p + w2.T @ p) / tau
         dp = (g1.T @ a + w2 @ a) / tau
-        scatter_add_rows(grad_out, active_ids, weight * da)
-        scatter_add_rows(grad_out, passive_ids, weight * dp)
+        scatter_add_rows_oracle(grad_out, active_ids, weight * da)
+        scatter_add_rows_oracle(grad_out, passive_ids, weight * dp)
     return loss
 
 
@@ -219,10 +265,10 @@ def sampled_side_contrastive_oracle(
         dpg = w1[:, :, None] * a[:, None, :] / tau
         dag = w2[:, :, None] * p[:, None, :] / tau
         dim = z.shape[1]
-        scatter_add_rows(grad_out, active_ids, weight * da)
-        scatter_add_rows(grad_out, passive_ids, weight * dp)
-        scatter_add_rows(grad_out, den_passive_ids.ravel(), weight * dpg.reshape(-1, dim))
-        scatter_add_rows(grad_out, den_active_ids.ravel(), weight * dag.reshape(-1, dim))
+        scatter_add_rows_oracle(grad_out, active_ids, weight * da)
+        scatter_add_rows_oracle(grad_out, passive_ids, weight * dp)
+        scatter_add_rows_oracle(grad_out, den_passive_ids.ravel(), weight * dpg.reshape(-1, dim))
+        scatter_add_rows_oracle(grad_out, den_active_ids.ravel(), weight * dag.reshape(-1, dim))
     return loss
 
 

@@ -190,6 +190,36 @@ class TestTrain:
             checkpoints.append((out / "checkpoint.bin").read_bytes())
         assert checkpoints[0] == checkpoints[1]
 
+    @pytest.mark.parametrize("count", [30, 5000])
+    def test_oversized_ssl_negatives_exit_2_before_setup(
+        self, workdir, tmp_path, capsys, monkeypatch, count
+    ):
+        """30 is min(n, m) for the 40 x 30 corpus: no job can have 30 distinct negatives."""
+
+        def no_graph(*args):
+            raise AssertionError("built the training graph")
+
+        monkeypatch.setattr(jobfit.optim, "build_variant_graph", no_graph)
+        out = tmp_path / "run"
+        rc = main(
+            ["train", "--config", str(workdir["config"]), "--set", f"ssl_negatives={count}",
+             "--out-dir", str(out)]
+        )
+        assert rc == 2
+        err = capsys.readouterr().err
+        assert "ssl_negatives must be below min(n, m)" in err
+        assert f"got {count} for n=40 candidates and m=30 jobs" in err
+        assert not out.exists()
+
+    def test_oversized_ssl_negatives_train_without_contrastive_term(self, workdir, tmp_path):
+        out = tmp_path / "run"
+        rc = main(
+            ["train", "--config", str(workdir["config"]), "--variant", "no-ssl",
+             "--set", "ssl_negatives=5000", "--out-dir", str(out)]
+        )
+        assert rc == 0
+        assert (out / "checkpoint.bin").exists()
+
     def test_variant_flag_changes_checkpoint(self, workdir):
         out = workdir["root"] / "run_nodpg"
         rc = main(

@@ -13,7 +13,14 @@ from jobfit.corpus import InteractionSplit, SplitDataset
 from jobfit.errors import CheckpointError, ConfigError, SamplingError, TrainingError
 from jobfit.evaluation import interaction_counts, partner_maps
 from jobfit.graph import NodeLayout
-from jobfit.model import VariantConfig, build_variant_graph, init_params, node_init, propagate
+from jobfit.model import (
+    VariantConfig,
+    apply_mean_powers,
+    build_variant_graph,
+    init_params,
+    node_init,
+    propagate,
+)
 from jobfit.optim import (
     AdamState,
     InputFingerprint,
@@ -38,12 +45,14 @@ from jobfit.optim import (
 )
 
 from conftest import (
+    main_score_grads_oracle,
     make_split,
     naive_partner_maps,
     naive_sample_quadruples,
     partner_lists,
     random_split,
     sampled_side_contrastive_oracle,
+    scatter_add_rows_oracle,
     side_contrastive_oracle,
 )
 
@@ -144,6 +153,38 @@ class TestScatterAddRows:
         out = np.ones((2, 2))
         scatter_add_rows(out, np.empty(0, dtype=np.int64), np.empty((0, 2)))
         np.testing.assert_array_equal(out, np.ones((2, 2)))
+
+    @given(
+        size=st.integers(min_value=1, max_value=12),
+        dim=st.integers(min_value=1, max_value=6),
+        distinct=st.booleans(),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+        data=st.data(),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_matches_previous_scatter(self, size, dim, distinct, seed, data):
+        """Exact without repeated ids; otherwise within 1e-12 of the summed magnitudes.
+
+        Repeated ids are summed in input order here and by reduceat's order
+        in the oracle, so only their rounding may differ.
+        """
+        ids = data.draw(
+            st.lists(st.integers(0, size - 1), max_size=size if distinct else 40, unique=distinct)
+        )
+        ids = np.array(ids, dtype=np.int64)
+        rng = np.random.default_rng(seed)
+        start = rng.standard_normal((size, dim))
+        scales = rng.choice([1e-3, 1.0, 1e3], size=(len(ids), 1))
+        rows = rng.standard_normal((len(ids), dim)) * scales
+        want, got = start.copy(), start.copy()
+        scatter_add_rows_oracle(want, ids, rows)
+        scatter_add_rows(got, ids, rows)
+        if len(np.unique(ids)) == len(ids):
+            np.testing.assert_array_equal(got, want)
+        else:
+            magnitude = np.abs(start)
+            scatter_add_rows_oracle(magnitude, ids, np.abs(rows))
+            assert np.all(np.abs(got - want) <= 1e-12 * magnitude)
 
 
 class TestQuadrupleSampling:
@@ -430,6 +471,69 @@ class TestGradients:
 
     def test_zero_layers(self):
         self.check(VariantConfig(ssl_weight=0.05, layers=0))
+
+
+class TestMainLossGradients:
+    """batch_gradients against three pair_scores calls and 12 per-block scatters."""
+
+    @given(
+        n=st.integers(min_value=1, max_value=9),
+        m=st.integers(min_value=1, max_value=9),
+        dual=st.booleans(),
+        quadruple=st.booleans(),
+        ssl_weight=st.sampled_from((0.0, 0.1)),
+        layers=st.integers(min_value=0, max_value=2),
+        batch=st.integers(min_value=1, max_value=16),
+        seed=st.integers(min_value=0, max_value=2**32 - 1),
+    )
+    @settings(max_examples=100, deadline=None)
+    def test_matches_per_block_scatters(
+        self, n, m, dual, quadruple, ssl_weight, layers, batch, seed
+    ):
+        """Losses are exact; gradients within 1e-12 of the sums over absolute values.
+
+        Only the order of the scatter sums differs, so each entry's error is
+        bounded through the same propagation and projection of 1e-12 times
+        the summed term magnitudes plus the reference gradient.
+        """
+        rng = np.random.default_rng(seed)
+        split = random_split(rng, n, m, matches=3, applies=3, reachouts=3)
+        variant = VariantConfig(
+            dual_graph=dual, quadruple_loss=quadruple, ssl_weight=ssl_weight, layers=layers,
+            self_edges="as_match" if dual else "off",
+        )
+        graph = build_variant_graph(split, n, m, variant)
+        params = init_params(graph.layout, 4, 3, *tiny_docs(n, m), seed=seed % 1000)
+        layout = graph.layout
+        cands, jobs = rng.integers(0, n, batch), rng.integers(0, m, batch)
+        quads = (cands, jobs, rng.integers(0, n, batch), rng.integers(0, m, batch))
+        cand_users, job_users = np.unique(cands), np.unique(jobs)
+        tau = 0.5
+
+        z = propagate(params, graph, variant).z
+        grad_z, magnitude = np.zeros_like(z), np.zeros_like(z)
+        want_main = main_score_grads_oracle(z, layout, quads, quadruple, grad_z, magnitude)
+        want_ssl = 0.0
+        if ssl_weight > 0:
+            for users, active, passive in (
+                (cand_users, layout.cand_active, layout.cand_passive),
+                (job_users, layout.job_active, layout.job_passive),
+            ):
+                want_ssl += side_contrastive_oracle(
+                    z, active(users), passive(users), tau, grad_z, ssl_weight
+                )
+        grad_z0 = apply_mean_powers(graph, variant, grad_z)
+        want_emb = grad_z0[:, : params.d_e]
+        want_proj = grad_z0[:, params.d_e :].T @ params.doc_table
+
+        got = batch_gradients(params, graph, variant, quads, cand_users, job_users, tau)
+        assert got.loss_main == want_main
+        assert got.loss_ssl == want_ssl
+        bound_z0 = apply_mean_powers(graph, variant, 1e-12 * (magnitude + np.abs(grad_z)))
+        bound_emb = bound_z0[:, : params.d_e]
+        bound_proj = bound_z0[:, params.d_e :].T @ np.abs(params.doc_table)
+        assert np.all(np.abs(got.d_embeddings - want_emb) <= bound_emb)
+        assert np.all(np.abs(got.d_projection - want_proj) <= bound_proj)
 
 
 class TestAdam:
