@@ -140,9 +140,9 @@ class PropagatedState:
 
 def check_finite(x: np.ndarray, what: str) -> None:
     """Raise NumericsError naming the first rows of x that hold inf or NaN."""
-    bad = ~np.isfinite(x)
-    if bad.any():
-        rows = np.flatnonzero(bad.reshape(len(x), -1).any(axis=1))[:5]
+    finite = np.isfinite(x)
+    if not finite.all():
+        rows = np.flatnonzero(~finite.reshape(len(x), -1).all(axis=1))[:5]
         raise NumericsError(f"non-finite values in {what}, first rows {rows.tolist()}")
 
 

@@ -18,7 +18,7 @@ from typing import Callable
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.special import expit, logsumexp
+from scipy.special import expit
 
 from .corpus import SplitDataset, write_atomic
 from .errors import CheckpointError, ConfigError, SamplingError, TrainingError
@@ -38,7 +38,6 @@ from .model import (
     check_finite,
     init_params,
     node_doc_table,
-    pair_scores,
     propagate,
 )
 
@@ -91,6 +90,20 @@ class TrainConfig:
 def softplus(x):
     """log(1 + exp(x)) computed without overflow."""
     return np.logaddexp(0.0, x)
+
+
+def logsumexp_rows(a: np.ndarray) -> np.ndarray:
+    """log(sum(exp(a), axis=1)) of a finite 2-D array.
+
+    SciPy 1.17's ``logsumexp(a, axis=1)`` algorithm, equal to it bit for bit:
+    the row maximum's terms are counted out of the sum, for precision.
+    """
+    top = a.max(axis=1)
+    is_top = a == top[:, None]
+    terms = np.exp(a - top[:, None])
+    terms[is_top] = 0.0
+    ties = is_top.sum(axis=1, dtype=a.dtype)
+    return np.log1p(terms.sum(axis=1) / ties) + np.log(ties) + top
 
 
 def scatter_add_rows(out: np.ndarray, ids: np.ndarray, rows: np.ndarray) -> None:
@@ -203,16 +216,16 @@ def _side_contrastive(
         own = where[:, 0]
     a_cols = z[active(cols)]
     p_cols = z[passive(cols)]
-    a, p = a_cols[own], p_cols[own]
+    a, p = (a_cols, p_cols) if dens is None else (a_cols[own], p_cols[own])
     s1 = (a @ p_cols.T) / tau
-    s2 = ((a_cols @ p.T) / tau).T  # s2[i, c] = a_c . p_i / tau
     if dens is None:
-        # The copy makes s2 C-contiguous: logsumexp sums an F-ordered array's
-        # rows in another order.
-        live1, live2, pos = s1, s2.copy(), own
+        # C is the anchors, so s2 = s1.T. The copy makes it C-contiguous:
+        # logsumexp_rows sums an F-ordered array's rows in another order.
+        live1, live2, pos = s1, s1.T.copy(), own
     else:
+        s2 = ((a_cols @ p.T) / tau).T  # s2[i, c] = a_c . p_i / tau
         live1, live2, pos = np.take_along_axis(s1, where, 1), np.take_along_axis(s2, where, 1), 0
-    logden = np.logaddexp(logsumexp(live1, axis=1), logsumexp(live2, axis=1))
+    logden = np.logaddexp(logsumexp_rows(live1), logsumexp_rows(live2))
     loss = float(np.sum(logden - live1[rows, pos]))
     if grad_out is not None:
         g1 = np.exp(live1 - logden[:, None])
@@ -310,15 +323,16 @@ def _losses_and_score_grads(
     # The positive, negative-job and negative-candidate pairs, in three blocks.
     pair_cands = np.concatenate([cands, cands, neg_cands])
     pair_jobs = np.concatenate([jobs, neg_jobs, jobs])
-    y = pair_scores(z, layout, pair_cands, pair_jobs)[2]
+    ca, cp = layout.cand_active(pair_cands), layout.cand_passive(pair_cands)
+    ja, jp = layout.job_active(pair_jobs), layout.job_passive(pair_jobs)
+    # One gather, in the order the scatter pairs each row with its partner's id.
+    rows = z[np.concatenate([jp, ca, cp, ja])]
+    z_jp, z_ca, z_cp, z_ja = np.split(rows, 4)
+    y = 0.5 * (np.sum(z_ca * z_jp, axis=-1) + np.sum(z_ja * z_cp, axis=-1))
     loss_main, weights = _main_loss_and_weights(*np.split(y, 3), variant.quadruple_loss)
     if grad_out is not None:
-        ca, cp = layout.cand_active(pair_cands), layout.cand_passive(pair_cands)
-        ja, jp = layout.job_active(pair_jobs), layout.job_passive(pair_jobs)
         half = np.tile(0.5 * np.concatenate(weights), 4)[:, None]
-        scatter_add_rows(
-            grad_out, np.concatenate([ca, jp, ja, cp]), half * z[np.concatenate([jp, ca, cp, ja])]
-        )
+        scatter_add_rows(grad_out, np.concatenate([ca, jp, ja, cp]), half * rows)
 
     loss_ssl = 0.0
     if variant.ssl_weight > 0:
@@ -355,9 +369,11 @@ def batch_gradients(
     job_users: np.ndarray,
     tau: float,
     ssl_dens: tuple[np.ndarray, np.ndarray] | None = None,
+    z: np.ndarray | None = None,
 ) -> BatchResult:
-    """Joint loss and exact gradients for the learnable tensors."""
-    z = propagate(params, graph, variant).z
+    """Joint loss and exact gradients; ``z`` is the forward pass of ``params``, if known."""
+    if z is None:
+        z = propagate(params, graph, variant).z
     grad_z = np.zeros_like(z)
     loss_main, loss_ssl = _losses_and_score_grads(
         z, params.layout, variant, quads, cand_users, job_users, tau, ssl_dens, grad_z
@@ -398,20 +414,29 @@ def adam_step(
     beta2: float = 0.999,
     eps: float = 1e-8,
 ) -> None:
-    """One bias-corrected Adam update, in place."""
+    """One bias-corrected Adam update, in place, through two scratch arrays per tensor.
+
+    Each tensor moves by ``(lr * m_hat) / (sqrt(v_hat) + eps)``, in that order.
+    """
     state.step += 1
     t = state.step
     for value, grad, m, v in (
         (params.embeddings, d_embeddings, state.m_embeddings, state.v_embeddings),
         (params.projection, d_projection, state.m_projection, state.v_projection),
     ):
+        step, den = np.multiply(grad, 1.0 - beta1), np.square(grad)
         m *= beta1
-        m += (1.0 - beta1) * grad
+        m += step
+        den *= 1.0 - beta2
         v *= beta2
-        v += (1.0 - beta2) * np.square(grad)
-        m_hat = m / (1.0 - beta1**t)
-        v_hat = v / (1.0 - beta2**t)
-        value -= lr * m_hat / (np.sqrt(v_hat) + eps)
+        v += den
+        np.divide(m, 1.0 - beta1**t, out=step)
+        step *= lr
+        np.divide(v, 1.0 - beta2**t, out=den)
+        np.sqrt(den, out=den)
+        den += eps
+        step /= den
+        value -= step
 
 
 @dataclass(frozen=True)
@@ -619,10 +644,12 @@ def train(
     """Mini-batch training with early stopping on mean validation MRR.
 
     The graph is built from the training split only. Every epoch shuffles the
-    training matches; each mini-batch refreshes representations, samples one
-    negative job and one negative candidate per positive, and takes one Adam
-    step on the joint objective. The checkpoint with the best mean of the two directions'
-    validation MRR is returned, holding the ``z`` that validation scored.
+    training matches; each mini-batch samples one negative job and one
+    negative candidate per positive and takes one Adam step on the joint
+    objective. ``z`` is propagated before the first step and after each step,
+    and feeds the next step, validation and the checkpoint. The checkpoint with
+    the best mean of the two directions' validation MRR is returned (with
+    ``max_epochs == 0``, the initial parameters at epoch 0 with a NaN metric).
     """
     config.validate()
     variant.validate()
@@ -651,7 +678,8 @@ def train(
     )
 
     rng = np.random.default_rng(config.seed)
-    best: Checkpoint | None = None
+    z = propagate(params, graph, variant).z
+    best = checkpoint_from(params, variant, 0, float("nan"), z, matches, train_counts)
     epochs_since_best = 0
     history: list[HistoryRow] = []
 
@@ -683,14 +711,15 @@ def train(
                 job_users,
                 config.tau,
                 ssl_dens,
+                z,
             )
             adam_step(params, result.d_embeddings, result.d_projection, adam, config.learning_rate)
+            z = propagate(params, graph, variant).z
             main_total += result.loss_main
             ssl_total += result.loss_ssl
             batches += 1
 
-        val_state = propagate(params, graph, variant)
-        report = evaluate(val_state.z, layout, val_instances, k=config.eval_k)
+        report = evaluate(z, layout, val_instances, k=config.eval_k)
         metric = 0.5 * (report.for_candidates.mrr + report.for_jobs.mrr)
         history.append(
             HistoryRow(
@@ -701,17 +730,11 @@ def train(
                 val_mrr_job=report.for_jobs.mrr,
             )
         )
-        if best is None or metric > best.best_metric:
+        if best.epoch == 0 or metric > best.best_metric:
             epochs_since_best = 0
-            best = checkpoint_from(
-                params, variant, epoch, metric, val_state.z, matches, train_counts
-            )
+            best = checkpoint_from(params, variant, epoch, metric, z, matches, train_counts)
         else:
             epochs_since_best += 1
             if epochs_since_best >= config.patience:
                 break
-
-    if best is None:  # max_epochs == 0: the initial parameters
-        z = propagate(params, graph, variant).z
-        best = checkpoint_from(params, variant, 0, float("nan"), z, matches, train_counts)
     return TrainResult(checkpoint=best, history=history)

@@ -272,6 +272,26 @@ def sampled_side_contrastive_oracle(
     return loss
 
 
+# adam_step as it was before it wrote its terms into scratch arrays: the
+# bit-exact reference for the update's operation order.
+def adam_step_oracle(params, d_embeddings, d_projection, state, lr,
+                     beta1=0.9, beta2=0.999, eps=1e-8) -> None:
+    """One bias-corrected Adam update, in place."""
+    state.step += 1
+    t = state.step
+    for value, grad, m, v in (
+        (params.embeddings, d_embeddings, state.m_embeddings, state.v_embeddings),
+        (params.projection, d_projection, state.m_projection, state.v_projection),
+    ):
+        m *= beta1
+        m += (1.0 - beta1) * grad
+        v *= beta2
+        v += (1.0 - beta2) * np.square(grad)
+        m_hat = m / (1.0 - beta1**t)
+        v_hat = v / (1.0 - beta2**t)
+        value -= lr * m_hat / (np.sqrt(v_hat) + eps)
+
+
 def naive_partner_maps(pairs) -> tuple[dict[int, set[int]], dict[int, set[int]]]:
     """Matched partners per candidate and per job, as dicts of sets."""
     by_cand: dict[int, set[int]] = {}

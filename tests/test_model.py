@@ -13,6 +13,7 @@ from jobfit.model import (
     VariantConfig,
     apply_mean_powers,
     build_variant_graph,
+    check_finite,
     init_params,
     node_doc_table,
     node_init,
@@ -179,6 +180,19 @@ class TestPropagation:
         named = [int(row) for row in re.findall(r"\d+", str(info.value).split("rows")[-1])]
         layer_one = graph.operator(variant.omega) @ node_init(params)
         assert named and not np.isfinite(layer_one[named]).all(axis=1).any()
+
+    def test_check_finite_names_tensor_and_first_bad_rows(self):
+        scores = np.arange(10.0)
+        scores[[7, 3]] = np.nan
+        with pytest.raises(NumericsError, match=re.escape("in the scores, first rows [3, 7]")):
+            check_finite(scores, "the scores")
+        grad = np.ones((9, 4))
+        grad[1, 2], grad[4, 0], grad[[5, 6, 7, 8], 3] = np.nan, -np.inf, np.inf
+        with pytest.raises(
+            NumericsError, match=re.escape("in the gradient, first rows [1, 4, 5, 6, 7]")
+        ):
+            check_finite(grad, "the gradient")
+        check_finite(np.ones((3, 2)), "a finite tensor")
 
     def test_mean_powers_matches_forward(self, rng):
         n, m = 6, 5

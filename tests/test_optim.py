@@ -1,13 +1,16 @@
 """Losses, manual gradients vs finite differences, Adam, checkpoints, training."""
 
+import copy
 import math
 import struct
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
+from scipy.special import logsumexp
 
 from jobfit.corpus import InteractionSplit, SplitDataset
 from jobfit.errors import CheckpointError, ConfigError, SamplingError, TrainingError
@@ -30,6 +33,7 @@ from jobfit.optim import (
     batch_loss,
     checkpoint_from,
     load_checkpoint,
+    logsumexp_rows,
     main_loss,
     params_from_checkpoint,
     pairwise_bpr_loss,
@@ -44,7 +48,10 @@ from jobfit.optim import (
     _side_contrastive,
 )
 
+import jobfit.model
+import jobfit.optim
 from conftest import (
+    adam_step_oracle,
     main_score_grads_oracle,
     make_split,
     naive_partner_maps,
@@ -185,6 +192,26 @@ class TestScatterAddRows:
             magnitude = np.abs(start)
             scatter_add_rows_oracle(magnitude, ids, np.abs(rows))
             assert np.all(np.abs(got - want) <= 1e-12 * magnitude)
+
+
+class TestLogsumexpRows:
+    @given(
+        a=hnp.arrays(
+            np.float64,
+            st.tuples(st.integers(1, 6), st.integers(1, 40)),
+            elements=st.one_of(
+                st.sampled_from((-2.0, 0.0, 0.5, 3.0)),  # ties within a row
+                st.floats(-50.0, 50.0),
+                st.floats(-1e300, 1e300),
+            ),
+        )
+    )
+    @example(a=np.full((3, 5), 7.25))
+    @example(a=np.array([[1e300], [-1e300], [0.0]]))
+    @example(a=np.array([[1e300, -1e300, 1e300, 2.0]]))
+    @settings(max_examples=300, deadline=None)
+    def test_equals_scipy(self, a):
+        assert np.array_equal(logsumexp_rows(a), logsumexp(a, axis=1))
 
 
 class TestQuadrupleSampling:
@@ -472,6 +499,30 @@ class TestGradients:
     def test_zero_layers(self):
         self.check(VariantConfig(ssl_weight=0.05, layers=0))
 
+    @pytest.mark.parametrize("ssl_negatives", [0, 2])
+    def test_given_forward_pass_equals_own(self, ssl_negatives):
+        rng = np.random.default_rng(5)
+        n, m = 6, 5
+        variant = VariantConfig(ssl_weight=0.1, layers=2)
+        split = random_split(rng, n, m, matches=4, applies=5, reachouts=5)
+        graph = build_variant_graph(split, n, m, variant)
+        params = init_params(graph.layout, 4, 3, *tiny_docs(n, m), seed=11)
+        cands, jobs = split.matches[:, 0], split.matches[:, 1]
+        cand_users, job_users = np.unique(cands), np.unique(jobs)
+        ssl_dens = None
+        if ssl_negatives:
+            ssl_dens = (
+                sample_ssl_denominators(cand_users, n, ssl_negatives, rng),
+                sample_ssl_denominators(job_users, m, ssl_negatives, rng),
+            )
+        args = (params, graph, variant, (cands, jobs, (cands + 2) % n, (jobs + 2) % m),
+                cand_users, job_users, 0.25, ssl_dens)
+        own = batch_gradients(*args)
+        given_z = batch_gradients(*args, z=propagate(params, graph, variant).z)
+        assert (given_z.loss_main, given_z.loss_ssl) == (own.loss_main, own.loss_ssl)
+        assert np.array_equal(given_z.d_embeddings, own.d_embeddings)
+        assert np.array_equal(given_z.d_projection, own.d_projection)
+
 
 class TestMainLossGradients:
     """batch_gradients against three pair_scores calls and 12 per-block scatters."""
@@ -561,6 +612,27 @@ class TestAdam:
         np.testing.assert_allclose(params.embeddings, ref_emb, atol=1e-14)
         np.testing.assert_allclose(params.projection, ref_proj, atol=1e-14)
         assert state.step == 5
+
+    @pytest.mark.parametrize("grad_scale", [1e-6, 1.0, 1e4])
+    def test_equals_previous_formula(self, rng, grad_scale):
+        params = init_params(NodeLayout(3, 4), 5, 2, *tiny_docs(3, 4), seed=2)
+        want_params, state = copy.deepcopy(params), AdamState.zeros(params)
+        want_state = copy.deepcopy(state)
+        for _ in range(6):
+            ge = grad_scale * rng.standard_normal(params.embeddings.shape)
+            gp = grad_scale * rng.standard_normal(params.projection.shape)
+            gp[0] = 0.0  # a row whose second moment stays 0: the step divides by eps
+            adam_step(params, ge, gp, state, 0.05)
+            adam_step_oracle(want_params, ge, gp, want_state, 0.05)
+            for got, want in (
+                (params.embeddings, want_params.embeddings),
+                (params.projection, want_params.projection),
+                (state.m_embeddings, want_state.m_embeddings),
+                (state.v_embeddings, want_state.v_embeddings),
+                (state.m_projection, want_state.m_projection),
+                (state.v_projection, want_state.v_projection),
+            ):
+                assert np.array_equal(got, want)
 
     def test_zero_gradient_fresh_state_is_noop(self, rng):
         layout = NodeLayout(2, 2)
@@ -780,6 +852,33 @@ class TestTrainLoop:
         layout = NodeLayout(ds.n, ds.m, dual=True)
         fresh = init_params(layout, config.d_e, config.d_t, *docs, seed=config.seed)
         np.testing.assert_array_equal(result.checkpoint.embeddings, fresh.embeddings)
+
+    @pytest.mark.parametrize("max_epochs", [0, 3])
+    def test_one_forward_pass_per_parameter_state(self, monkeypatch, max_epochs):
+        calls = {"propagate": 0, "apply_mean_powers": 0, "adam_step": 0}
+
+        def spy(module, name):
+            inner = getattr(module, name)
+
+            def counted(*args, **kwargs):
+                calls[name] += 1
+                return inner(*args, **kwargs)
+
+            monkeypatch.setattr(module, name, counted)
+
+        spy(jobfit.optim, "propagate")
+        spy(jobfit.optim, "adam_step")
+        spy(jobfit.optim, "apply_mean_powers")  # the backward pass's lookup
+        # propagate's forward pass looks apply_mean_powers up in jobfit.model.
+        monkeypatch.setattr(jobfit.model, "apply_mean_powers", jobfit.optim.apply_mean_powers)
+        ds = tiny_dataset()
+        config = small_config(max_epochs=max_epochs, patience=10)
+        result = train(ds, *tiny_docs(ds.n, ds.m), config, VariantConfig(layers=1))
+        steps = calls["adam_step"]
+        assert steps == max_epochs * math.ceil(len(ds.train.matches) / config.batch_size)
+        assert len(result.history) == max_epochs
+        assert calls["propagate"] == steps + 1
+        assert calls["apply_mean_powers"] == 2 * steps + 1
 
     def test_sampled_ssl_path_runs(self):
         ds = tiny_dataset()
