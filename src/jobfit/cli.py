@@ -242,7 +242,11 @@ def _load_dataset(cfg: RunConfig) -> SplitDataset:
 
 
 def _sha256(path: str) -> bytes:
-    return hashlib.sha256(Path(path).read_bytes()).digest()
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for block in iter(lambda: fh.read(1 << 20), b""):
+            digest.update(block)
+    return digest.digest()
 
 
 def _input_fingerprint(cfg: RunConfig) -> InputFingerprint:

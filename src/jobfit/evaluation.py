@@ -22,6 +22,10 @@ from .graph import NodeLayout
 from .model import check_finite, pair_scores
 
 
+# Pairs per pair_scores call in evaluate, so that each chunk's gathers stay in cache.
+SCORE_CHUNK = 1024
+
+
 class Direction(enum.Enum):
     FOR_CANDIDATES = "candidates"   # rank jobs for a candidate anchor
     FOR_JOBS = "jobs"               # rank candidates for a job anchor
@@ -222,13 +226,19 @@ def rank_metrics(
 def evaluate(
     z: np.ndarray, layout: NodeLayout, instances: Mapping[Direction, InstanceArrays], k: int = 5
 ) -> RankingReport:
-    """Score and rank every instance once against propagated representations, and average."""
+    """Score and rank every instance once against propagated representations, and average.
+
+    Rows go to ``pair_scores`` about ``SCORE_CHUNK`` pairs at a time, anchors broadcast.
+    """
     ranks = {}
     for direction in Direction:
         anchors, items = instances[direction].anchors, instances[direction].items
-        pairs = np.repeat(anchors, items.shape[1]), items.ravel()
-        cands, jobs = pairs if direction is Direction.FOR_CANDIDATES else pairs[::-1]
-        y = pair_scores(z, layout, cands, jobs)[2].reshape(items.shape)
+        y = np.empty(items.shape)
+        step = max(1, SCORE_CHUNK // items.shape[1])
+        for lo in range(0, len(items), step):
+            pairs = anchors[lo : lo + step, None], items[lo : lo + step]
+            cands, jobs = pairs if direction is Direction.FOR_CANDIDATES else pairs[::-1]
+            y[lo : lo + step] = pair_scores(z, layout, cands, jobs)[2]
         ranks[direction] = _ranks(y, f"evaluation scores for {direction.value}")
     return RankingReport(k, *(_direction_report(ranks[d], k) for d in Direction), ranks)
 

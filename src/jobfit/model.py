@@ -173,6 +173,8 @@ def pair_scores(z: np.ndarray, layout: NodeLayout, cands, jobs):
     Returns (r, s, y): r scores the candidate's interest in the job, s the
     job's interest in the candidate, and y is their mean. In the single-node
     layout both directions collapse onto the same inner product, r = s = y.
+    ``cands`` and ``jobs`` broadcast against each other, so an (a, 1) column
+    of anchors against an (a, b) grid of items scores a·b pairs.
     """
     cands = np.asarray(cands)
     jobs = np.asarray(jobs)

@@ -10,6 +10,7 @@ embedding rows and (through the frozen document table) the text projection.
 from __future__ import annotations
 
 import math
+import os
 import struct
 import zlib
 from dataclasses import astuple, dataclass, field
@@ -48,6 +49,7 @@ ZERO_TABLE = bytes(32)
 # After the magic and version: sizes and variant, best epoch and metric, the
 # input fingerprint, and the match row counts of MATCH_SPLITS, in that order.
 _HEADER = struct.Struct("<6I4B2dI" "Id" "?32s2q32s32s" "3Q")
+_PAYLOAD_AT = len(CKPT_MAGIC) + 4 + _HEADER.size
 MATCH_SPLITS = ("train", "valid", "test")
 
 
@@ -549,8 +551,15 @@ def save_checkpoint(ckpt: Checkpoint, path: str | Path) -> None:
 
 
 def load_checkpoint(path: str | Path) -> Checkpoint:
+    """Read and check a checkpoint; its tensors are writable views of one read buffer."""
     path = Path(path)
-    blob = memoryview(path.read_bytes())
+    with path.open("rb") as fh:
+        size = os.fstat(fh.fileno()).st_size
+        # Start the buffer so that the 8-byte elements after the header are aligned.
+        buf = np.empty(size + 8, dtype=np.uint8)
+        start = -(buf.ctypes.data + _PAYLOAD_AT) % 8
+        raw = buf[start : start + fh.readinto(buf[start : start + size])]
+    blob = memoryview(raw)
     if len(blob) < len(CKPT_MAGIC) + 4:
         raise CheckpointError(f"{path}: truncated checkpoint")
     if blob[: len(CKPT_MAGIC)] != CKPT_MAGIC:
@@ -566,6 +575,8 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
             f"{path}: unsupported checkpoint version {version} (this jobfit reads version "
             f"{CKPT_VERSION}); retrain it with jobfit train"
         )
+    if len(blob) < _PAYLOAD_AT + 4:
+        raise CheckpointError(f"{path}: truncated checkpoint")
     head = _HEADER.unpack_from(blob, offset)
     offset += _HEADER.size
     n, m, d_e, d_t, d_o, node_count, dual, quad, self_idx, _pad = head[:10]
@@ -596,9 +607,7 @@ def load_checkpoint(path: str | Path) -> Checkpoint:
     arrays = []
     for dtype, shape in shapes:
         size = 8 * math.prod(shape)
-        arrays.append(
-            np.frombuffer(blob[offset : offset + size], dtype=dtype).reshape(shape).copy()
-        )
+        arrays.append(raw[offset : offset + size].view(dtype).reshape(shape))
         offset += size
     emb, proj, z, *matches, train_counts = arrays
     return Checkpoint(

@@ -1,5 +1,6 @@
 """End-to-end command tests driving main() in process."""
 
+import hashlib
 import logging
 import os
 import shutil
@@ -29,10 +30,11 @@ from jobfit.cli import (
     train_config_for,
     variant_for,
     _parse_grid,
+    _sha256,
 )
 from jobfit.corpus import SyntheticSpec, load_events
 from jobfit.errors import ConfigError
-from jobfit.optim import TrainConfig, load_checkpoint, save_checkpoint
+from jobfit.optim import CKPT_MAGIC, CKPT_VERSION, TrainConfig, load_checkpoint, save_checkpoint
 
 SYNTH_ARGS = [
     "--set", "n=40", "--set", "m=30", "--set", "d_latent=4", "--set", "d_o=6",
@@ -544,6 +546,15 @@ class TestTrainingInputs:
         err = capsys.readouterr().err
         assert f"version {version}" in err and "retrain" in err
 
+    def test_header_cut_short_exits_2_as_truncated(self, workdir, tmp_path, capsys):
+        body = CKPT_MAGIC + struct.pack("<I", CKPT_VERSION)
+        path = tmp_path / "short.bin"
+        path.write_bytes(body + struct.pack("<I", zlib.crc32(body)))
+        rc = main(["score-pair", "--config", str(workdir["config"]), "--checkpoint", str(path),
+                   "--candidate", "1", "--job", "1"])
+        assert rc == 2
+        assert f"{path}: truncated checkpoint" in capsys.readouterr().err
+
     def test_zero_tables_of_another_width_exit_2(self, workdir, tmp_path, capsys):
         no_docs = ["--config", str(workdir["config"]), "--set", "cand_embeddings=",
                    "--set", "job_embeddings=", "--set", "max_epochs=1"]
@@ -553,6 +564,13 @@ class TestTrainingInputs:
         capsys.readouterr()
         assert main(["score-pair", *no_docs, "--set", "d_o=5", *query]) == 2
         assert "zero document tables of d_o=5" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("size", [0, 1, (1 << 20) - 1, 1 << 20, (1 << 20) + 1, 5 << 19])
+    def test_streamed_input_digest_equals_whole_file_digest(self, tmp_path, size):
+        data = np.random.default_rng(size).integers(0, 256, size, dtype=np.uint8).tobytes()
+        path = tmp_path / "input.bin"
+        path.write_bytes(data)
+        assert _sha256(str(path)) == hashlib.sha256(data).digest()
 
     def test_checkpoint_without_fingerprint_exits_2(self, workdir, tmp_path, capsys):
         path = tmp_path / "bare.bin"

@@ -9,6 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from jobfit import evaluation
 from jobfit.errors import DataFormatError, NumericsError, SamplingError
 from jobfit.evaluation import (
     Direction,
@@ -22,6 +23,7 @@ from jobfit.evaluation import (
     sparsity_breakdown,
 )
 from jobfit.graph import NodeLayout
+from jobfit.model import pair_scores
 
 from conftest import (
     instance_rows,
@@ -328,6 +330,102 @@ class TestEvaluate:
                 np.array([1, 2, 2]), np.array([[0, 1], [0, 1], [1, 0]])
             ),
         }
+        message = f"non-finite values in evaluation scores for {direction}, first rows {rows}"
+        with pytest.raises(NumericsError, match=re.escape(message)):
+            evaluate(z, layout, instances, k=1)
+
+
+class TestChunkedEvaluate:
+    """``evaluate`` scores in chunks of rows; the scores are those of one call per direction."""
+
+    n, m, matches = 30, 28, 40
+
+    def case(self, dual):
+        rng = np.random.default_rng(17)
+        layout = NodeLayout(self.n, self.m, dual)
+        z = rng.standard_normal((layout.node_count, 64))
+        flat = rng.choice(self.n * self.m, self.matches, replace=False)
+        matches = np.stack([flat // self.m, flat % self.m], axis=1)
+        by_cand, by_job = partner_maps(matches)
+        instances = build_eval_instances(matches, by_cand, by_job, self.n, self.m, seed=5)
+        return z, layout, instances
+
+    @staticmethod
+    def whole_grid_scores(z, layout, instances):
+        """One ``pair_scores`` call per direction over its repeated anchors and flat items."""
+        out = {}
+        for direction, inst in instances.items():
+            pairs = np.repeat(inst.anchors, inst.items.shape[1]), inst.items.ravel()
+            cands, jobs = pairs if direction is Direction.FOR_CANDIDATES else pairs[::-1]
+            out[direction] = pair_scores(z, layout, cands, jobs)[2].reshape(inst.items.shape)
+        return out
+
+    @pytest.mark.parametrize("dual", [True, False], ids=["dual", "no-dpg"])
+    # 3 · 21 pairs is 3 rows, which leaves 40 rows a short last chunk.
+    @pytest.mark.parametrize("chunk", [1, 21, 22, 3 * 21, 10**6])
+    def test_equal_to_one_call_per_direction(self, monkeypatch, dual, chunk):
+        z, layout, instances = self.case(dual)
+        assert all(inst.items.shape == (self.matches, 21) for inst in instances.values())
+        want = self.whole_grid_scores(z, layout, instances)
+        scored = {d: [] for d in Direction}
+
+        def recording_pair_scores(z, layout, cands, jobs):
+            out = real_pair_scores(z, layout, cands, jobs)
+            anchor_is_cand = cands.shape[1] == 1
+            scored[Direction.FOR_CANDIDATES if anchor_is_cand else Direction.FOR_JOBS].append(out[2])
+            return out
+
+        real_pair_scores = evaluation.pair_scores
+        monkeypatch.setattr(evaluation, "pair_scores", recording_pair_scores)
+        monkeypatch.setattr(evaluation, "SCORE_CHUNK", chunk)
+        report = evaluate(z, layout, instances, k=5)
+        monkeypatch.undo()
+        rows = max(1, chunk // 21)
+        for direction in Direction:
+            y = want[direction]
+            assert len(scored[direction]) == -(-self.matches // rows)
+            assert np.concatenate(scored[direction]).tobytes() == y.tobytes()
+            ranks = 1 + np.sum(y[:, 1:] >= y[:, :1], axis=1)
+            assert np.array_equal(report.ranks[direction], ranks)
+        assert report == evaluate(z, layout, instances, k=5)
+
+    def test_every_instance_scored_once_across_chunks(self, monkeypatch):
+        z, layout, instances = self.case(True)
+        calls = []
+
+        def counting_pair_scores(z, layout, cands, jobs):
+            calls.append(np.broadcast_arrays(cands, jobs))
+            return real_pair_scores(z, layout, cands, jobs)
+
+        real_pair_scores = evaluation.pair_scores
+        monkeypatch.setattr(evaluation, "pair_scores", counting_pair_scores)
+        monkeypatch.setattr(evaluation, "SCORE_CHUNK", 4 * 21)
+        evaluate(z, layout, instances, k=5)
+        per_direction = -(-self.matches // 4)
+        assert len(calls) == 2 * per_direction
+        for direction, batch in zip(Direction, (calls[:per_direction], calls[per_direction:])):
+            cands, jobs = (np.concatenate(side) for side in zip(*batch))
+            if direction is Direction.FOR_JOBS:
+                cands, jobs = jobs, cands
+            inst = instances[direction]
+            anchor_grid = np.broadcast_to(inst.anchors[:, None], inst.items.shape)
+            np.testing.assert_array_equal(cands, anchor_grid)
+            np.testing.assert_array_equal(jobs, inst.items)
+
+    @pytest.mark.parametrize(
+        "node, user, direction, rows",
+        [("job_passive", 4, "candidates", "[3, 5]"), ("cand_passive", 4, "jobs", "[3, 5]")],
+    )
+    def test_non_finite_rows_in_a_later_chunk_are_named_globally(
+        self, rng, monkeypatch, node, user, direction, rows
+    ):
+        layout = NodeLayout(6, 6)
+        z = rng.standard_normal((layout.node_count, 3))
+        z[getattr(layout, node)(user)] = np.nan
+        # User 4 is an item of rows 3 and 5 only, in the second and third chunks, and no anchor.
+        items = np.array([[0, 1], [1, 2], [2, 3], [4, 0], [3, 5], [5, 4]])
+        instances = {d: InstanceArrays(np.array([0, 1, 2, 3, 5, 0]), items) for d in Direction}
+        monkeypatch.setattr(evaluation, "SCORE_CHUNK", 2 * 2)  # two rows per chunk
         message = f"non-finite values in evaluation scores for {direction}, first rows {rows}"
         with pytest.raises(NumericsError, match=re.escape(message)):
             evaluate(z, layout, instances, k=1)

@@ -25,6 +25,8 @@ from jobfit.model import (
     propagate,
 )
 from jobfit.optim import (
+    CKPT_MAGIC,
+    CKPT_VERSION,
     AdamState,
     InputFingerprint,
     TrainConfig,
@@ -739,6 +741,41 @@ class TestCheckpointIO:
         path.write_bytes(b"DPF")
         with pytest.raises(CheckpointError, match="truncated"):
             load_checkpoint(path)
+
+    def test_header_cut_short_is_truncated(self, tmp_path):
+        import zlib
+
+        body = CKPT_MAGIC + struct.pack("<I", CKPT_VERSION)
+        for cut in (0, 100, CKPT_HEADER_BYTES - len(body) - 1):
+            path = tmp_path / f"short{cut}.ckpt"
+            blob = body + bytes(cut)
+            path.write_bytes(blob + struct.pack("<I", zlib.crc32(blob)))
+            with pytest.raises(CheckpointError, match=f"{path.name}: truncated checkpoint$"):
+                load_checkpoint(path)
+
+    @pytest.mark.parametrize("dual", [True, False])
+    def test_loaded_tensors_are_aligned_writable_views(self, tmp_path, dual):
+        variant = VariantConfig(dual_graph=dual, self_edges="off")
+        ckpt, _, path = self.roundtrip(tmp_path, variant)
+        saved = [ckpt.embeddings, ckpt.projection, ckpt.z, *ckpt.matches.values(),
+                 ckpt.train_counts]
+        # Each load allocates a new buffer, usually at another address.
+        for _ in range(8):
+            loaded = load_checkpoint(path)
+            tensors = [loaded.embeddings, loaded.projection, loaded.z, *loaded.matches.values(),
+                       loaded.train_counts]
+            for got, want in zip(tensors, saved, strict=True):
+                assert got.flags.aligned and got.flags.writeable and not got.flags.owndata
+                assert got.dtype.itemsize == 8 and got.shape == want.shape
+                np.testing.assert_array_equal(got, want)
+
+    def test_writing_a_loaded_z_leaves_the_next_load_alone(self, tmp_path):
+        ckpt, loaded, path = self.roundtrip(tmp_path, VariantConfig())
+        loaded.z[:] = 0.0
+        loaded.embeddings[0, 0] += 1.0
+        again = load_checkpoint(path)
+        assert again.z.tobytes() == ckpt.z.tobytes()
+        np.testing.assert_array_equal(again.embeddings, ckpt.embeddings)
 
     def test_flipped_byte_fails_checksum(self, tmp_path):
         _, _, path = self.roundtrip(tmp_path, VariantConfig())
