@@ -71,37 +71,50 @@ class PartnerLists:
             return self.ids[:0]
         return self.ids[self.indptr[user] : self.indptr[user + 1]]
 
+    @cached_property
     def _owners(self) -> np.ndarray:
         """The user each stored partner belongs to."""
         return np.repeat(np.arange(len(self.indptr) - 1), np.diff(self.indptr))
 
     @cached_property
-    def pair_keys(self) -> tuple[int, frozenset[int]]:
-        """``(width, {user · width + partner})``, ``width`` one past the largest partner id.
+    def _keys(self) -> tuple[int, np.ndarray]:
+        """``(width, user · width + partner)``, ``width`` one past the largest partner id.
 
-        Built on first use, for membership tests one draw at a time.
+        The keys ascend, since partners ascend within each user.
         """
         width = int(self.ids.max(initial=-1)) + 1
-        return width, frozenset((self._owners() * width + self.ids).tolist())
+        return width, self._owners * width + self.ids
+
+    @cached_property
+    def pair_keys(self) -> tuple[int, frozenset[int]]:
+        """``_keys`` as a set, for membership tests one draw at a time."""
+        width, keys = self._keys
+        return width, frozenset(keys.tolist())
+
+    @cached_property
+    def _below(self) -> np.ndarray:
+        """Each partner minus its rank in its user's list: the non-partners below it."""
+        return self.ids - (np.arange(self.ids.size) - self.indptr[self._owners])
 
     def contains(self, users: np.ndarray, partners: np.ndarray) -> np.ndarray:
         """Whether ``partners[i]`` is among ``users[i]``'s partners."""
-        width = int(max(self.ids.max(initial=-1), partners.max(initial=-1))) + 1
-        return np.isin(users * width + partners, self._owners() * width + self.ids)
+        width, keys = self._keys
+        if not keys.size:
+            return np.zeros(np.shape(partners), dtype=bool)
+        query = users * width + partners
+        at = np.minimum(np.searchsorted(keys, query), keys.size - 1)
+        return (partners < width) & (keys[at] == query)
 
     def skip_partners(self, users: np.ndarray, ranks: np.ndarray, universe: int) -> np.ndarray:
         """The ``ranks[i, j]``-th id in ``[0, universe)`` that is not a partner of ``users[i]``.
 
-        A partner minus its rank within its user's list counts the
-        non-partners below it, so a rank moves up by one for every partner
-        whose count is at most the rank. One ``searchsorted`` over
+        A rank moves up by one for every partner whose count of non-partners
+        below it is at most the rank. One ``searchsorted`` over
         ``user · universe + count`` keys does this for all users at once.
         Every user must have a list, and every partner id must be below
         ``universe``.
         """
-        owners = self._owners()
-        below = self.ids - (np.arange(self.ids.size) - self.indptr[owners])
-        keys = owners * universe + below
+        keys = self._owners * universe + self._below
         passed = np.searchsorted(keys, users[:, None] * universe + ranks, side="right")
         return ranks + passed - self.indptr[users][:, None]
 
@@ -116,6 +129,74 @@ class InstanceArrays:
 
     anchors: np.ndarray
     items: np.ndarray
+
+
+def distinct_draws(rng: np.random.Generator, pops: np.ndarray, k: int) -> np.ndarray:
+    """Rows equal to ``[rng.choice(p, k, replace=False) for p in pops]``, from one draw.
+
+    NumPy 2's ``Generator.choice`` without replacement is a fixed sequence of
+    bounded draws per row. Mostly it is Floyd's algorithm, bounds ``p - k``
+    to ``p - 1``, then a shuffle of the picks, bounds ``k - 1`` down to 1.
+    When ``p > 10000`` and ``k > p // 50`` it is instead a Fisher–Yates
+    shuffle of the tail of ``arange(p)``, bounds ``p - 1`` down to ``p - k``.
+    Each bound is one element of ``rng.integers(0, bound, endpoint=True)``
+    and a bound of 0 draws nothing, so one call over every row's bounds
+    consumes the loop's stream and leaves ``rng`` in the loop's final state.
+    """
+    pops = np.asarray(pops, dtype=np.int64)
+    if np.any(pops < k):
+        raise ValueError(f"cannot draw {k} distinct values from a population of {pops.min()}")
+    tail = (pops > 10000) & (k > pops // 50)
+    steps = np.arange(k)[:, None]
+    # Column i holds row i's bounds in draw order, so the C-ordered transpose
+    # lists every bound in the loop's order. Floyd rows end in a bound of 0
+    # and tail rows in k of them, which draw nothing.
+    bounds = np.zeros((2 * k, len(pops)), dtype=np.int64)
+    bounds[:k] = np.where(tail, pops - 1 - steps, pops - k + steps)
+    bounds[k:, ~tail] = steps[::-1]
+    draws = rng.integers(0, np.ascontiguousarray(bounds.T), endpoint=True).T
+    # compress keeps the selected columns C-contiguous, so each step reads a contiguous row.
+    out = np.empty((k, len(pops)), dtype=np.int64)
+    out[:, ~tail] = _floyd(draws.compress(~tail, 1), bounds[:k].compress(~tail, 1))
+    if tail.any():
+        out[:, tail] = _tail_shuffle(draws[:k].compress(tail, 1), bounds[:k].compress(tail, 1))
+    return np.ascontiguousarray(out.T)
+
+
+def _floyd(draws: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    """Floyd's picks from the first ``k`` draws of each column, shuffled by the rest.
+
+    Step ``s`` keeps its draw unless an earlier step picked it, and then
+    takes its bound, which no earlier step could pick. Shuffle step ``i``
+    swaps pick ``i`` with the pick its draw names.
+    """
+    k = len(bounds)
+    picks = np.empty_like(bounds)
+    for s in range(k):
+        taken = (picks[:s] == draws[s]).any(axis=0)
+        picks[s] = np.where(taken, bounds[s], draws[s])
+    cols = np.arange(bounds.shape[1])
+    for i, j in zip(range(k - 1, 0, -1), draws[k:]):
+        row = picks[i].copy()
+        picks[i] = picks[j, cols]
+        picks[j, cols] = row
+    return picks
+
+
+def _tail_shuffle(draws: np.ndarray, bounds: np.ndarray) -> np.ndarray:
+    """The last ``k`` entries of each column's ``arange(p)`` after ``k`` Fisher–Yates swaps.
+
+    Step ``t`` swaps positions ``bounds[t]`` and ``draws[t]`` and settles the
+    first, so only the values moved into draw positions need storing. Only
+    rows with ``p > 10000`` and ``k > 200`` come here, and a loop over their
+    swaps is linear in ``k``, where a vectorised search would be quadratic.
+    """
+    settled = np.empty_like(draws)
+    for col, (positions, picks) in enumerate(zip(bounds.T.tolist(), draws.T.tolist())):
+        moved: dict[int, int] = {}
+        for t, (i, j) in enumerate(zip(positions, picks)):
+            settled[t, col], moved[j] = moved.get(j, j), moved.get(i, i)
+    return settled[::-1]
 
 
 def partner_maps(
@@ -163,22 +244,24 @@ def build_eval_instances(
 
     # Drawing from a population size consumes the same stream as drawing
     # from an array that long, and returns ranks among the eligible ids.
-    pops = [(universe - np.diff(p.indptr)[anchors]).tolist() for _, p, anchors, _, universe in sides]
-    ranks = np.empty((2, len(rows), num_negatives), dtype=np.int64)
-    rng = np.random.default_rng(seed)
-    for i, pair in enumerate(rows.tolist()):
-        for side, label in enumerate(("candidate", "job")):
-            pop = pops[side][i]
-            if pop < num_negatives:
-                raise SamplingError(
-                    f"{label} {pair[side]}: only {pop} eligible negatives, need {num_negatives}"
-                )
-            ranks[side, i] = rng.choice(pop, num_negatives, replace=False)
+    # Rows go match by match, the candidate instance before the job instance.
+    pops = np.stack(
+        [universe - np.diff(p.indptr)[anchors] for _, p, anchors, _, universe in sides], axis=1
+    )
+    short = pops < num_negatives
+    if short.any():
+        i, side = np.unravel_index(np.argmax(short), short.shape)
+        raise SamplingError(
+            f"{('candidate', 'job')[side]} {rows[i, side]}: "
+            f"only {pops[i, side]} eligible negatives, need {num_negatives}"
+        )
+    ranks = distinct_draws(np.random.default_rng(seed), pops.ravel(), num_negatives)
+    ranks = ranks.reshape(len(rows), 2, num_negatives)
     return {
         direction: InstanceArrays(
             anchors,
             np.concatenate(
-                [positives[:, None], partners.skip_partners(anchors, ranks[side], universe)],
+                [positives[:, None], partners.skip_partners(anchors, ranks[:, side], universe)],
                 axis=1,
             ),
         )

@@ -26,6 +26,7 @@ from .errors import CheckpointError, ConfigError, SamplingError, TrainingError
 from .evaluation import (
     PartnerLists,
     build_eval_instances,
+    distinct_draws,
     evaluate,
     interaction_counts,
     partner_maps,
@@ -292,12 +293,9 @@ def sample_ssl_denominators(
         raise SamplingError(
             f"cannot sample {count} distinct contrastive negatives from {universe} users"
         )
-    out = np.empty((len(anchors), count + 1), dtype=np.int64)
-    out[:, 0] = anchors
-    for row, anchor in enumerate(anchors):
-        draws = rng.choice(universe - 1, size=count, replace=False)
-        out[row, 1:] = draws + (draws >= anchor)
-    return out
+    anchors = np.asarray(anchors, dtype=np.int64)
+    draws = distinct_draws(rng, np.full(len(anchors), universe - 1), count)
+    return np.concatenate([anchors[:, None], draws + (draws >= anchors[:, None])], axis=1)
 
 
 @dataclass

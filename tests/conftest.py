@@ -352,6 +352,20 @@ def naive_sample_quadruples(cands, jobs, by_cand, by_job, n: int, m: int, rng, m
     return neg_jobs, neg_cands
 
 
+def ssl_denominators_oracle(anchors, universe: int, count: int, rng):
+    """sample_ssl_denominators' per-anchor ``rng.choice`` loop."""
+    if count >= universe:
+        raise SamplingError(
+            f"cannot sample {count} distinct contrastive negatives from {universe} users"
+        )
+    out = np.empty((len(anchors), count + 1), dtype=np.int64)
+    out[:, 0] = anchors
+    for row, anchor in enumerate(anchors):
+        draws = rng.choice(universe - 1, size=count, replace=False)
+        out[row, 1:] = draws + (draws >= anchor)
+    return out
+
+
 def instance_rows(instances):
     """(direction, anchor, positive, negatives) per instance, one direction after the other."""
     return [

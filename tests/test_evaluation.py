@@ -6,7 +6,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from jobfit import evaluation
@@ -15,6 +15,7 @@ from jobfit.evaluation import (
     Direction,
     InstanceArrays,
     build_eval_instances,
+    distinct_draws,
     evaluate,
     interaction_counts,
     partition_by_mass,
@@ -48,6 +49,19 @@ class TestPartnerMaps:
 
     def test_empty(self):
         assert tuple(as_sets(p) for p in partner_maps([])) == ({}, {})
+
+    @given(
+        pairs=st.sets(st.tuples(st.integers(0, 6), st.integers(0, 6)), max_size=20),
+        queries=st.lists(st.tuples(st.integers(0, 9), st.integers(0, 9)), max_size=30),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_contains_equals_set_membership(self, pairs, queries):
+        by_cand, by_job = partner_maps(pairs)
+        users, partners = np.array(queries, dtype=np.int64).reshape(-1, 2).T
+        got = by_cand.contains(users, partners)
+        assert got.tolist() == [(u, p) in pairs for u, p in queries]
+        got = by_job.contains(partners, users)
+        assert got.tolist() == [(u, p) in pairs for u, p in queries]
 
 
 class TestBuildInstances:
@@ -137,6 +151,16 @@ class TestBuildInstances:
         num_negatives = data.draw(st.integers(1, max(n, m) + 1), label="num_negatives")
         self.check_against_oracle(n, m, all_matches, matches, seed, num_negatives)
 
+    def test_first_short_instance_in_draw_order_is_named(self):
+        # Job 1 of match (0, 1) has one eligible candidate and candidate 2 of
+        # match (2, 3) four eligible jobs; the job instance of the first match
+        # comes before the candidate instance of the second.
+        by_cand, by_job = partner_maps({(0, 1), (1, 1), (2, 3), (2, 4), (2, 5)})
+        with pytest.raises(SamplingError) as raised:
+            build_eval_instances({(0, 1), (2, 3)}, by_cand, by_job, n=3, m=7, seed=0,
+                                 num_negatives=5)
+        assert str(raised.value) == "job 1: only 1 eligible negatives, need 5"
+
     @pytest.mark.parametrize("num_negatives", [3, 4])
     def test_eligible_equal_to_count_and_one_short(self, num_negatives):
         # Candidate 0 has 5 - 2 = 3 eligible jobs; candidates 3 and 4 and
@@ -144,6 +168,51 @@ class TestBuildInstances:
         all_matches = {(0, 0), (0, 1), (1, 0), (2, 3)}
         matches = {(0, 1), (2, 3)}
         self.check_against_oracle(5, 5, all_matches, matches, 11, num_negatives)
+
+
+def check_distinct_draws(pops, k, seed):
+    want_rng, got_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+    want = [want_rng.choice(pop, k, replace=False) for pop in pops]
+    got = distinct_draws(got_rng, np.array(pops, dtype=np.int64), k)
+    assert got.shape == (len(pops), k) and got.dtype == np.int64
+    for row, choice in zip(got, want):
+        np.testing.assert_array_equal(row, choice)
+    assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+
+class TestDistinctDraws:
+    """One batched draw equals a loop of ``rng.choice(pop, k, replace=False)``."""
+
+    @given(
+        k=st.integers(0, 32),
+        extra=st.lists(st.integers(0, 60), max_size=6),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @example(k=0, extra=[], seed=0)
+    @example(k=1, extra=[0, 5], seed=1)
+    @example(k=20, extra=[0, 0, 0], seed=2)
+    @settings(max_examples=200, deadline=None)
+    def test_floyd_rows_equal_choice(self, k, extra, seed):
+        check_distinct_draws([k + e for e in extra], k, seed)
+
+    @given(data=st.data(), seed=st.integers(0, 2**32 - 1))
+    @settings(max_examples=15, deadline=None)
+    def test_tail_shuffle_rows_equal_choice(self, data, seed):
+        # Above 10000 and with k > pop // 50, choice shuffles the tail of arange(pop).
+        k = data.draw(st.integers(201, 320), label="k")
+        tail = st.integers(10001, 50 * (k + 1) - 1)
+        floyd = st.integers(k, 10000) | st.integers(50 * (k + 1), 60000)
+        pops = data.draw(st.lists(tail | floyd, min_size=1, max_size=4), label="pops")
+        check_distinct_draws(pops, k, seed)
+
+    def test_population_equal_to_count_in_both_branches(self):
+        check_distinct_draws([5, 5], 5, 3)
+        check_distinct_draws([241, 10001, 12000], 241, 4)
+        check_distinct_draws([10001], 10001, 5)
+
+    def test_population_below_count_raises(self):
+        with pytest.raises(ValueError, match="cannot draw 3 distinct values from a population of 2"):
+            distinct_draws(np.random.default_rng(0), np.array([4, 2]), 3)
 
 
 class TestRankMetrics:

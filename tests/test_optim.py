@@ -63,6 +63,7 @@ from conftest import (
     sampled_side_contrastive_oracle,
     scatter_add_rows_oracle,
     side_contrastive_oracle,
+    ssl_denominators_oracle,
 )
 
 LN2 = math.log(2.0)
@@ -378,6 +379,23 @@ class TestContrastive:
     def test_denominator_sampling_needs_enough_users(self, rng):
         with pytest.raises(SamplingError):
             sample_ssl_denominators(np.array([0]), universe=4, count=4, rng=rng)
+
+    @given(
+        universe=st.integers(1, 80),
+        seed=st.integers(0, 2**32 - 1),
+        data=st.data(),
+    )
+    @settings(max_examples=150, deadline=None)
+    def test_denominator_sampling_equals_oracle(self, universe, seed, data):
+        users = st.lists(st.integers(0, universe - 1), max_size=12)
+        anchors = np.array(data.draw(users, label="anchors"), dtype=np.int64)
+        count = data.draw(st.integers(0, universe - 1), label="count")
+        want_rng, got_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        want = ssl_denominators_oracle(anchors, universe, count, want_rng)
+        got = sample_ssl_denominators(anchors, universe, count, got_rng)
+        assert got.dtype == np.int64
+        np.testing.assert_array_equal(got, want)
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
     @given(
         n=st.integers(min_value=1, max_value=9),
