@@ -36,7 +36,7 @@ config = TrainConfig(
     max_epochs=15,
     patience=5,
     eval_negatives=20,
-    eval_k=5,
+    k=5,
     seed=5,
 )
 variant = variant_config("full", ssl_weight=1e-3)

@@ -70,8 +70,13 @@ KEY_ALIASES = {"lambda": "ssl_weight", "lr": "learning_rate"}
 
 
 @dataclass(frozen=True)
-class RunConfig:
-    """Union of every knob the commands understand."""
+class RunConfig(TrainConfig, SyntheticSpec):
+    """Union of every knob the commands understand.
+
+    Training and generator settings are inherited. Both bases declare
+    ``seed``; the MRO puts ``TrainConfig`` first, so its default of 0 is the
+    run seed and the corpus seed of ``synth`` without ``--seed``.
+    """
 
     # input files
     log: str = ""
@@ -80,40 +85,31 @@ class RunConfig:
     # temporal split boundaries (day offsets)
     t_valid_start: int = 84
     t_test_start: int = 95
-    # representation dimensions
-    d_e: int = 128
-    d_t: int = 32
-    d_o: int = 32
-    # variant axes
+    # variant preset and the axes it may override
     variant: str = "full"
-    layers: int = 3
-    omega: float = 1.0
-    ssl_weight: float = 0.05
-    self_edges: str = "as_match"
-    tau: float = 0.2
-    # optimization
-    learning_rate: float = 1e-3
-    batch_size: int = 512
-    max_epochs: int = 100
-    patience: int = 10
-    seed: int = 0
-    eval_seed: int = 1
-    ssl_negatives: int = 0
-    # evaluation protocol
-    eval_negatives: int = 20
-    k: int = 5
-    # synthetic generator
-    n: int = 1000
-    m: int = 800
-    d_latent: int = 16
-    days: int = 106
-    apply_rate: float = 0.08
-    reachout_rate: float = 0.08
-    match_threshold: float = 0.0
-    asymmetry: float = 0.5
+    layers: int = VariantConfig.layers
+    omega: float = VariantConfig.omega
+    ssl_weight: float = VariantConfig.ssl_weight
+    self_edges: str = VariantConfig.self_edges
     # sweep
     sweep_axis: str = "layers"
     sweep_grid: str = ""
+
+    def validate(self) -> None:
+        # Numeric constraints are checked here so bad values fail before any
+        # file is touched; the model and trainer validate again defensively.
+        TrainConfig.validate(self)
+        SyntheticSpec.validate(self)
+        variant_for(self)
+        if self.ssl_weight < 0:
+            raise ConfigError(f"lambda must be >= 0, got {self.ssl_weight}")
+        if not 0 < self.t_valid_start < self.t_test_start:
+            raise ConfigError(
+                f"need 0 < t_valid_start < t_test_start, got "
+                f"{self.t_valid_start}, {self.t_test_start}"
+            )
+        if self.sweep_axis not in SWEEP_AXES:
+            raise ConfigError(f"sweep_axis must be one of {SWEEP_AXES}, got {self.sweep_axis!r}")
 
 
 _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
@@ -158,45 +154,18 @@ def make_run_config(pairs: dict[str, str]) -> RunConfig:
             raise ConfigError(f"unknown config key {key!r}")
         kwargs[field_name] = _coerce(key, raw)
     cfg = RunConfig(**kwargs)
-    validate_run_config(cfg)
+    cfg.validate()
     return cfg
 
 
-def validate_run_config(cfg: RunConfig) -> None:
-    # Numeric constraints are revalidated here so bad values fail before any
-    # file is touched; the model and trainer validate again defensively.
-    variant_for(cfg)
-    train_config_for(cfg)
-    if cfg.ssl_weight < 0:
-        raise ConfigError(f"lambda must be >= 0, got {cfg.ssl_weight}")
-    if not 0 < cfg.t_valid_start < cfg.t_test_start:
-        raise ConfigError(
-            f"need 0 < t_valid_start < t_test_start, got "
-            f"{cfg.t_valid_start}, {cfg.t_test_start}"
-        )
-    if cfg.sweep_axis not in SWEEP_AXES:
-        raise ConfigError(f"sweep_axis must be one of {SWEEP_AXES}, got {cfg.sweep_axis!r}")
-
-
-def _shared_fields(cfg: RunConfig, cls) -> dict:
-    """The RunConfig values of every field that ``cls`` has under the same name."""
-    return {f.name: getattr(cfg, f.name) for f in fields(cls) if f.name in _FIELD_TYPES}
-
-
 def variant_for(cfg: RunConfig) -> VariantConfig:
-    return variant_config(cfg.variant, **_shared_fields(cfg, VariantConfig))
-
-
-def train_config_for(cfg: RunConfig) -> TrainConfig:
-    tc = TrainConfig(**_shared_fields(cfg, TrainConfig), eval_k=cfg.k)
-    tc.validate()
-    return tc
-
-
-def synthetic_spec_for(cfg: RunConfig) -> SyntheticSpec:
-    spec = SyntheticSpec(**_shared_fields(cfg, SyntheticSpec))
-    spec.validate()
-    return spec
+    return variant_config(
+        cfg.variant,
+        ssl_weight=cfg.ssl_weight,
+        omega=cfg.omega,
+        layers=cfg.layers,
+        self_edges=cfg.self_edges,
+    )
 
 
 def config_hash(cfg: RunConfig) -> str:
@@ -325,15 +294,14 @@ def _report_rows(direction: Direction, report: DirectionReport, k: int, group: s
 
 def cmd_synth(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
-    spec = synthetic_spec_for(cfg)
-    log, cand_table, job_table = generate_synthetic(spec)
+    log, cand_table, job_table = generate_synthetic(cfg)
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     write_events(out_dir / "events.tsv", log, comments=provenance_lines(cfg))
     write_doc_embeddings(out_dir / "candidates.emb", cand_table)
     write_doc_embeddings(out_dir / "jobs.emb", job_table)
     manifest = out_dir / "manifest.cfg"
-    settings = [f"{key} = {value}" for key, value in spec.as_dict().items()]
+    settings = [f"{key} = {value}" for key, value in cfg.as_dict().items()]
     _write_lines(manifest, provenance_lines(cfg), settings)
     counts = np.bincount(log.kinds, minlength=len(Kind))
     print(f"wrote {out_dir}/events.tsv with {len(log.kinds)} events "
@@ -375,7 +343,7 @@ def cmd_train(args: argparse.Namespace) -> int:
     dataset = _load_dataset(cfg)
     cand_docs, job_docs = _load_docs(cfg, dataset.n, dataset.m)
     fingerprint = _input_fingerprint(cfg)
-    result = train(dataset, cand_docs, job_docs, train_config_for(cfg), variant_for(cfg))
+    result = train(dataset, cand_docs, job_docs, cfg, variant_for(cfg))
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     ckpt_path = out_dir / "checkpoint.bin"
@@ -474,9 +442,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
     rows = []
     for value, point_cfg in zip(grid, points):
-        result = train(
-            dataset, cand_docs, job_docs, train_config_for(point_cfg), variant_for(point_cfg)
-        )
+        result = train(dataset, cand_docs, job_docs, point_cfg, variant_for(point_cfg))
         _, report = _evaluate_checkpoint(point_cfg, result.checkpoint, "valid")
         fc, fj = report.for_candidates, report.for_jobs
         rows.append(

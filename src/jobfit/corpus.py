@@ -350,7 +350,8 @@ class SyntheticSpec:
             raise ConfigError(f"asymmetry must lie in [0, 1], got {self.asymmetry}")
 
     def as_dict(self) -> dict[str, object]:
-        return {f.name: getattr(self, f.name) for f in fields(self)}
+        """The generator settings, in declaration order; a subclass adds none."""
+        return {f.name: getattr(self, f.name) for f in fields(SyntheticSpec)}
 
 
 def _correlated_latents(

@@ -67,7 +67,7 @@ class TrainConfig:
     eval_seed: int = 1
     ssl_negatives: int = 0          # 0 keeps in-batch denominators
     eval_negatives: int = 20
-    eval_k: int = 5
+    k: int = 5
 
     def validate(self) -> None:
         if self.d_e <= 0 or self.d_t <= 0:
@@ -86,8 +86,8 @@ class TrainConfig:
             raise ConfigError(f"ssl_negatives must be >= 0, got {self.ssl_negatives}")
         if self.eval_negatives <= 0:
             raise ConfigError(f"eval_negatives must be positive, got {self.eval_negatives}")
-        if self.eval_k <= 0:
-            raise ConfigError(f"eval_k must be positive, got {self.eval_k}")
+        if self.k <= 0:
+            raise ConfigError(f"k must be positive, got {self.k}")
 
 
 def softplus(x):
@@ -726,7 +726,7 @@ def train(
             ssl_total += result.loss_ssl
             batches += 1
 
-        report = evaluate(z, layout, val_instances, k=config.eval_k)
+        report = evaluate(z, layout, val_instances, k=config.k)
         metric = 0.5 * (report.for_candidates.mrr + report.for_jobs.mrr)
         history.append(
             HistoryRow(

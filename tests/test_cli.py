@@ -26,14 +26,14 @@ from jobfit.cli import (
     main,
     make_run_config,
     parse_config_file,
-    synthetic_spec_for,
-    train_config_for,
     variant_for,
+    _coerce,
     _parse_grid,
     _sha256,
 )
 from jobfit.corpus import SyntheticSpec, load_events
 from jobfit.errors import ConfigError
+from jobfit.model import VariantConfig
 from jobfit.optim import CKPT_MAGIC, CKPT_VERSION, TrainConfig, load_checkpoint, save_checkpoint
 
 SYNTH_ARGS = [
@@ -111,6 +111,14 @@ class TestSynth:
         )
         assert rc == 0
         assert (out / "events.tsv").read_bytes() == (workdir["data"] / "events.tsv").read_bytes()
+
+    def test_manifest_lists_generator_settings_only(self, workdir):
+        lines = (workdir["data"] / "manifest.cfg").read_text().splitlines()
+        keys = [line.partition(" = ")[0] for line in lines if not line.startswith("#")]
+        assert keys == [
+            "n", "m", "d_latent", "d_o", "days", "apply_rate", "reachout_rate",
+            "match_threshold", "asymmetry", "seed",
+        ]
 
 
 class TestSplit:
@@ -651,17 +659,41 @@ class TestConfigHandling:
             make_run_config({"t_valid_start": "9", "t_test_start": "9"})
 
     def test_derived_configs_read_every_shared_field(self):
-        run_fields = {f.name for f in fields(RunConfig)}
-        assert {f.name for f in fields(TrainConfig)} - {"eval_k"} <= run_fields
-        assert {f.name for f in fields(SyntheticSpec)} <= run_fields
-        assert {"ssl_weight", "omega", "layers", "self_edges"} <= run_fields
+        inherited = {f.name for f in fields(TrainConfig)} | {f.name for f in fields(SyntheticSpec)}
+        assert inherited <= {f.name for f in fields(RunConfig)}
+        assert inherited.isdisjoint(RunConfig.__annotations__)
+        axes = ("ssl_weight", "omega", "layers", "self_edges")
+        assert all(getattr(RunConfig(), a) == getattr(VariantConfig(), a) for a in axes)
         cfg = make_run_config(
-            {"ssl_negatives": "7", "asymmetry": "0.25", "omega": "0.5", "k": "9"}
+            {"ssl_negatives": "7", "asymmetry": "0.25", "k": "9", "omega": "0.5",
+             "layers": "2", "lambda": "0.3", "self_edges": "off"}
         )
-        assert train_config_for(cfg).ssl_negatives == 7
-        assert train_config_for(cfg).eval_k == 9
-        assert synthetic_spec_for(cfg).asymmetry == 0.25
-        assert variant_for(cfg).omega == 0.5
+        assert (cfg.ssl_negatives, cfg.asymmetry, cfg.k) == (7, 0.25, 9)
+        variant = variant_for(cfg)
+        assert [getattr(variant, a) for a in axes] == [0.3, 0.5, 2, "off"]
+
+    @pytest.mark.parametrize("field", fields(RunConfig), ids=lambda f: f.name)
+    def test_every_key_parses_back(self, field):
+        value = getattr(make_run_config({field.name: str(field.default)}), field.name)
+        assert value == field.default
+        assert type(value) is type(field.default)
+
+    def test_readme_config_block_matches_defaults(self):
+        readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+        block = readme.split("## Configuration", 1)[1].split("```")[1]
+        entries = [line.split("#")[0] for line in block.splitlines()[1:]]
+        pairs = [[part.strip() for part in e.split("=")] for e in entries if e.strip()]
+        assert "seed" in dict(pairs)
+        for key, value in pairs:
+            assert _coerce(key, value) == getattr(RunConfig(), KEY_ALIASES.get(key, key)), key
+
+    def test_config_hash_pinned(self):
+        assert config_hash(RunConfig()) == "dd7495331874"
+        assert config_hash(replace(RunConfig(), seed=3, n=5)) == "6fa6dac13445"
+
+    def test_generator_settings_checked_for_every_command(self, capsys):
+        assert main(["split", "--set", "apply_rate=2"]) == 2
+        assert "apply_rate must lie in [0, 1], got 2.0" in capsys.readouterr().err
 
     def test_config_hash_stable_and_sensitive(self):
         a = RunConfig()
@@ -721,7 +753,7 @@ class TestConfigHandling:
             "non-utf8-log": (["--log", str(bad)], f"{bad}: not UTF-8"),
             "non-utf8-config": (["--config", str(bad)], f"{bad}: not UTF-8"),
             "directory-log": (["--log", str(tmp_path)], str(tmp_path)),
-            "k=0": (["--set", "k=0"], "eval_k must be positive, got 0"),
+            "k=0": (["--set", "k=0"], "k must be positive, got 0"),
             "sweep_axis=bogus": (
                 ["--set", "sweep_axis=bogus"],
                 "sweep_axis must be one of ('layers', 'tau', 'lambda', 'omega'), got 'bogus'",

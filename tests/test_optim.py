@@ -97,7 +97,7 @@ def tiny_docs(n, m, d_o=4, seed=7):
 def small_config(**overrides):
     base = dict(
         d_e=6, d_t=4, learning_rate=0.05, batch_size=4, max_epochs=4,
-        patience=2, tau=0.2, seed=3, eval_seed=5, eval_negatives=3, eval_k=2,
+        patience=2, tau=0.2, seed=3, eval_seed=5, eval_negatives=3, k=2,
     )
     base.update(overrides)
     return TrainConfig(**base)
@@ -119,7 +119,7 @@ class TestTrainConfig:
             dict(tau=0.0),
             dict(ssl_negatives=-1),
             dict(eval_negatives=0),
-            dict(eval_k=0),
+            dict(k=0),
         ],
     )
     def test_rejects(self, bad):
