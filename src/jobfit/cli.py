@@ -434,6 +434,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     grid_text = args.grid or cfg.sweep_grid or DEFAULT_GRIDS[axis]
     grid = _parse_grid(axis, grid_text)
     points = [replace(cfg, **{KEY_ALIASES.get(axis, axis): value}) for value in grid]
+    # replace() runs no checks: refuse a bad grid value before any point trains.
+    for point in points:
+        point.validate()
     # tau and lambda act only through the contrastive term.
     if axis in ("tau", "lambda") and all(variant_for(p).ssl_weight == 0 for p in points):
         raise ConfigError(f"variant {cfg.variant!r} has no contrastive term for {axis} to act on")

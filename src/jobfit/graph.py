@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 import scipy.sparse as sp
 
-from .corpus import InteractionSplit
+from .corpus import InteractionSplit, sorted_unique
 from .errors import ConfigError, GraphError
 
 SELF_EDGE_MODES = ("as_match", "as_uni", "off")
@@ -71,7 +71,7 @@ def _unique_edges(src: np.ndarray, dst: np.ndarray, node_count: int) -> np.ndarr
     hi = np.maximum(src, dst).astype(np.int64)
     if np.any(lo == hi):
         raise GraphError("degenerate edge connecting a node to itself")
-    keys = np.unique(lo * node_count + hi)
+    keys = sorted_unique(lo * node_count + hi)
     return np.stack([keys // node_count, keys % node_count], axis=1)
 
 
@@ -167,7 +167,7 @@ def build_graph(
         # Match wins when the same node pair appears in both classes.
         match_keys = match_edges[:, 0] * total + match_edges[:, 1]
         uni_keys = uni_edges[:, 0] * total + uni_edges[:, 1]
-        uni_edges = uni_edges[~np.isin(uni_keys, match_keys)]
+        uni_edges = uni_edges[~np.isin(uni_keys, match_keys, assume_unique=True)]
 
     if dual and self_edges != "off":
         users = np.arange(n + m, dtype=np.int64)

@@ -21,7 +21,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.special import expit
 
-from .corpus import SplitDataset, write_atomic
+from .corpus import SplitDataset, sorted_unique, write_atomic
 from .errors import CheckpointError, ConfigError, SamplingError, TrainingError
 from .evaluation import (
     PartnerLists,
@@ -701,8 +701,8 @@ def train(
             neg_jobs, neg_cands = sample_quadruples(
                 cands, jobs, by_cand, by_job, n, m, rng
             )
-            cand_users = np.unique(cands)
-            job_users = np.unique(jobs)
+            cand_users = sorted_unique(cands)
+            job_users = sorted_unique(jobs)
             ssl_dens = None
             if variant.ssl_weight > 0 and config.ssl_negatives > 0:
                 ssl_dens = (

@@ -380,7 +380,8 @@ class TestSweep:
 
     @pytest.mark.parametrize(
         "variant, axis, grid",
-        [("no-ssl", "tau", "0.5,5"), ("no-ssl", "lambda", "0.1,0.2"), ("full", "lambda", "0")],
+        [("no-ssl", "tau", "0.5,5"), ("no-ssl", "lambda", "0.1,0.2"), ("full", "lambda", "0"),
+         ("full", "layers", "1,-1")],
     )
     def test_axis_without_contrastive_term_exits_2_before_training(
         self, workdir, tmp_path, capsys, monkeypatch, variant, axis, grid
@@ -395,8 +396,11 @@ class TestSweep:
              "--axis", axis, "--grid", grid, "--out", str(out)]
         )
         assert rc == 2
-        err = capsys.readouterr().err
-        assert f"variant {variant!r} has no contrastive term for {axis}" in err
+        # A grid value that fails validation is refused before any point trains.
+        expected = {"layers": "layers must be >= 0, got -1"}.get(
+            axis, f"variant {variant!r} has no contrastive term for {axis}"
+        )
+        assert expected in capsys.readouterr().err
         assert not out.exists()
 
     def test_duplicate_grid_values_warn_and_collapse(self, caplog):

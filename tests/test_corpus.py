@@ -1,5 +1,6 @@
 """Event log IO, temporal splitting, embedding tables, synthetic corpus."""
 
+import ast
 import os
 import stat
 import struct
@@ -8,7 +9,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from jobfit.corpus import (
@@ -21,6 +22,7 @@ from jobfit.corpus import (
     generate_synthetic,
     load_doc_embeddings,
     load_events,
+    sorted_unique,
     split_to_log,
     temporal_split,
     write_atomic,
@@ -31,6 +33,8 @@ from jobfit.errors import ConfigError, DataFormatError
 
 from conftest import naive_temporal_split
 
+SRC = Path(__file__).resolve().parents[1] / "src" / "jobfit"
+INT64 = np.iinfo(np.int64)
 COLUMNS = (("kinds", np.int8), ("candidates", np.int64), ("jobs", np.int64), ("days", np.int64))
 
 
@@ -268,6 +272,49 @@ class TestTemporalSplit:
         log = self.events([(Kind.MATCH, 0, 0, 25)])
         with pytest.raises(DataFormatError, match="empty"):
             temporal_split(log, 10, 20)
+
+
+class TestSortedUnique:
+    @given(
+        values=st.lists(
+            st.one_of(
+                st.integers(-3, 3),
+                st.integers(INT64.min, INT64.min + 2),
+                st.integers(INT64.max - 2, INT64.max),
+                st.integers(INT64.min, INT64.max),
+            ),
+            max_size=40,
+        )
+    )
+    @example(values=[])
+    @example(values=[5])
+    @example(values=[-4] * 7)
+    @example(values=[INT64.max, INT64.min, -1, INT64.max, 0, INT64.min])
+    @settings(max_examples=300, deadline=None)
+    def test_equals_np_unique(self, values):
+        keys = np.array(values, dtype=np.int64)
+        got, want = sorted_unique(keys), np.unique(keys)
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+        assert keys.tolist() == values
+
+    def test_no_hash_based_set_calls_in_package(self):
+        # A plain np.unique or np.union1d hashes its values before sorting
+        # (NumPy >= 2.3); sorted_unique gives the same array by one sort. The
+        # return_index/inverse/counts forms still sort, so they may stay.
+        offenders = []
+        for path in sorted(SRC.glob("*.py")):
+            for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+                if not (
+                    isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and isinstance(node.func.value, ast.Name)
+                    and node.func.value.id == "np"
+                ):
+                    continue
+                returns = any((kw.arg or "").startswith("return_") for kw in node.keywords)
+                if node.func.attr == "union1d" or (node.func.attr == "unique" and not returns):
+                    offenders.append(f"{path.name}:{node.lineno} np.{node.func.attr}")
+        assert offenders == []
 
 
 class TestDocEmbeddings:
