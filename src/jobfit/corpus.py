@@ -146,8 +146,102 @@ class SplitDataset:
 
 
 def load_events(path: str | Path) -> EventLog:
-    """Parse an event log TSV, validating ids against the header counts."""
+    """Parse an event log TSV, validating ids against the header counts.
+
+    A log in the form ``write_events`` writes is parsed in bulk from its
+    bytes; any other input goes to the line loop, which gives the same
+    result for it, or the line-numbered error.
+    """
     path = Path(path)
+    log = _parse_events_bulk(path.read_bytes())
+    return log if log is not None else _load_events_by_line(path)
+
+
+# Longest field the bulk parser reads: 18 digits always fit int64.
+_BULK_MAX_DIGITS = 18
+_LINE_SEPARATORS = np.frombuffer(b"\t\t\t\n", dtype=np.uint8)
+
+
+def _parse_events_bulk(data: bytes) -> EventLog | None:
+    """Parse a log with whole-array operations, or None if it is not strict.
+
+    Strict means: the header line and any ``#`` lines right after it are
+    UTF-8 without a carriage return. Every later line is a kind token, then
+    three fields of 1-18 ASCII digits, tab-separated and ended by a newline,
+    and its ids lie inside the header's ranges. On such input the line loop
+    returns the same log.
+    """
+    end = data.find(b"\n") + 1
+    while end and data.startswith(b"#", end):
+        end = data.find(b"\n", end) + 1
+    if not end or b"\r" in data[:end]:
+        return None
+    try:
+        head = data[:end].decode("utf-8")
+    except UnicodeDecodeError:
+        return None
+    match = _HEADER_RE.match(head[: head.index("\n") + 1])
+    if match is None:
+        return None
+    n, m = int(match.group(1)), int(match.group(2))
+
+    # Seven zero bytes after the data let every line start be read as one
+    # little-endian 8-byte word, long enough for each kind token; body
+    # indexes the bytes after the leading comments.
+    padded = data + bytes(7)
+    body = np.frombuffer(padded, dtype=np.uint8, count=len(data) - end, offset=end)
+    if body.size and body[-1] != ord("\n"):
+        return None
+    seps = np.flatnonzero(body <= ord("\n"))
+    if seps.size % 4 or not (body[seps].reshape(-1, 4) == _LINE_SEPARATORS).all():
+        return None
+    # Row j holds every line's j-th separator, so row j of widths holds the
+    # widths of field j + 1 (the token is field 0).
+    ends = seps.reshape(-1, 4).T.copy()
+    starts = np.concatenate([[0], ends[3] + 1])[:-1]
+    token_lengths = ends[0] - starts
+    widths = ends[1:] - ends[:-1] - 1
+    if widths.size and not 1 <= widths.min() <= widths.max() <= _BULK_MAX_DIGITS:
+        return None
+
+    words = np.ndarray((body.size,), dtype="<u8", buffer=padded, offset=end, strides=(1,))
+    heads = words[starts]
+    kinds = np.full(len(starts), -1, dtype=np.int8)
+    for code, token in enumerate(KIND_TOKENS):
+        raw = token.encode("ascii")
+        low = (1 << 8 * len(raw)) - 1
+        kinds[(token_lengths == len(raw)) & ((heads & low) == int.from_bytes(raw, "little"))] = code
+    if (kinds < 0).any():
+        return None
+
+    # Tokens hold no digits, so when the digit count equals the summed field
+    # widths every field byte is a digit.
+    digits = body - np.uint8(ord("0"))
+    if np.count_nonzero(digits < 10) != widths.sum():
+        return None
+    cands, jobs, days = (
+        _place_values(digits, ends[j], widths[j - 1]) for j in range(1, 4)
+    )
+    if cands.size and (int(cands.max()) >= n or int(jobs.max()) >= m):
+        return None
+    return EventLog(n, m, kinds, cands, jobs, days)
+
+
+def _place_values(digits: np.ndarray, ends: np.ndarray, widths: np.ndarray) -> np.ndarray:
+    """int64 values of the digit runs that end just before each of ``ends``."""
+    values = np.zeros(len(ends), dtype=np.int64)
+    for k in range(int(widths.max(initial=0))):
+        digit = digits.take(ends - 1 - k, mode="clip").astype(np.int64)
+        digit[widths <= k] = 0
+        values += digit * 10**k
+    return values
+
+
+def _load_events_by_line(path: Path) -> EventLog:
+    """The reference parser: one line at a time, text mode, any line form.
+
+    It defines the format and every line-numbered ``DataFormatError``.
+    """
     try:
         with path.open("r", encoding="utf-8") as fh:
             header = fh.readline()

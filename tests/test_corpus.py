@@ -12,6 +12,8 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from jobfit import corpus
+from jobfit.cli import main
 from jobfit.corpus import (
     EMBED_MAGIC,
     DocTable,
@@ -132,6 +134,118 @@ class TestLoadEvents:
         path = tmp_path / "e.tsv"
         write_log(path, 2, 2, ["# provenance", "apply\t0\t0\t0", ""])
         assert len(load_events(path).kinds) == 1
+
+
+def edit_line(edit):
+    """A perturbation that rewrites the chosen event line."""
+    return lambda lines, i, log: lines[:i] + [edit(lines[i], log)] + lines[i + 1 :]
+
+
+def edit_field(field_index, edit):
+    """A perturbation that rewrites one tab-separated field of an event line."""
+
+    def rewrite(line, log):
+        fields = line.rstrip(b"\n").split(b"\t")
+        fields[field_index] = edit(fields[field_index], log)
+        return b"\t".join(fields) + b"\n"
+
+    return edit_line(rewrite)
+
+
+# Byte-level edits of a written log. Each takes the file's lines (ends kept),
+# the index of one event line and the log written, and returns the new lines.
+PERTURBATIONS = {
+    "none": lambda lines, i, log: lines,
+    "crlf": lambda lines, i, log: [line.replace(b"\n", b"\r\n") for line in lines],
+    "lone_cr": edit_line(lambda line, log: line[:-1] + b"\r"),
+    "blank_line": lambda lines, i, log: lines[:i] + [b"\n"] + lines[i:],
+    "comment_mid_file": lambda lines, i, log: lines[:i] + [b"# later\n"] + lines[i:],
+    "no_final_newline": lambda lines, i, log: lines[:-1] + [lines[-1][:-1]],
+    "token_only_last_line": lambda lines, i, log: lines + [lines[i].split(b"\t")[0]],
+    "nul_for_tab": edit_line(lambda line, log: line.replace(b"\t", b"\0", 1)),
+    "cr_in_comment": lambda lines, i, log: lines[:1] + [b"# note\r" + lines[i]] + lines[1:],
+    "plus_sign": edit_field(1, lambda f, log: b"+" + f),
+    "leading_space": edit_field(2, lambda f, log: b" " + f),
+    "fullwidth_digit": edit_field(3, lambda f, log: f[:-1] + "５".encode()),
+    "token_prefix": edit_field(0, lambda f, log: f[:-1]),
+    "token_extension": edit_field(0, lambda f, log: f + b"x"),
+    "unknown_token": edit_field(0, lambda f, log: b"poke"),
+    "candidate_out_of_range": edit_field(1, lambda f, log: str(log.n).encode()),
+    "job_out_of_range": edit_field(2, lambda f, log: str(log.m).encode()),
+    "day_19_digits": edit_field(3, lambda f, log: b"1" + f.rjust(18, b"0")),
+    "day_above_int64": edit_field(3, lambda f, log: b"9" * 19),
+    "invalid_utf8_comment": lambda lines, i, log: lines[:1] + [b"# caf\xe9\n"] + lines[1:],
+    "invalid_utf8_field": edit_field(2, lambda f, log: f + b"\xff"),
+}
+
+
+@st.composite
+def written_logs(draw):
+    """(log, comments) for a log that write_events can write."""
+    n = draw(st.one_of(st.integers(1, 5), st.integers(1, 10**12)))
+    m = draw(st.one_of(st.integers(1, 5), st.integers(1, 10**12)))
+    row = st.tuples(
+        st.sampled_from(list(Kind)),
+        st.integers(0, n - 1),
+        st.integers(0, m - 1),
+        st.one_of(st.integers(0, 40), st.integers(0, 10**18 - 1)),
+    )
+    comment = st.text(st.characters(exclude_categories=("Cs",), exclude_characters="\r\n"))
+    rows = draw(st.lists(row, min_size=1, max_size=30))
+    return make_log(n, m, rows), draw(st.lists(comment, max_size=3))
+
+
+def loaded(load, path):
+    """The EventLog load returns for path, or the DataFormatError message."""
+    try:
+        return load(path)
+    except DataFormatError as exc:
+        return str(exc)
+
+
+class TestBulkEventParse:
+    """load_events against the line loop, which defines the format."""
+
+    @given(case=written_logs(), name=st.sampled_from(sorted(PERTURBATIONS)), data=st.data())
+    @settings(max_examples=400, deadline=None)
+    # The line loop casts a day above the int64 range through float64.
+    @pytest.mark.filterwarnings("ignore:invalid value encountered in cast:RuntimeWarning")
+    def test_equals_line_loop(self, tmp_path_factory, case, name, data):
+        log, comments = case
+        path = tmp_path_factory.mktemp("log") / "events.tsv"
+        write_events(path, log, comments=comments)
+        lines = path.read_bytes().splitlines(keepends=True)
+        event = data.draw(st.integers(1 + len(comments), len(lines) - 1), label="event line")
+        path.write_bytes(b"".join(PERTURBATIONS[name](lines, event, log)))
+        want = loaded(corpus._load_events_by_line, path)
+        got = loaded(load_events, path)
+        if isinstance(want, str):
+            assert got == want
+        else:
+            assert not isinstance(got, str) and same_log(got, want)
+        if name == "none":
+            assert corpus._parse_events_bulk(path.read_bytes()) is not None
+
+    @pytest.mark.parametrize("text", ["#n=2\tm=3\n", "#n=2\tm=3\n# no events\n"])
+    def test_log_without_events(self, tmp_path, text):
+        path = tmp_path / "events.tsv"
+        path.write_text(text)
+        got = corpus._parse_events_bulk(path.read_bytes())
+        assert got is not None and same_log(got, corpus._load_events_by_line(path))
+
+    def test_synth_output_parses_without_line_loop(self, tmp_path, monkeypatch):
+        out = tmp_path / "synth"
+        args = ["--set", "n=40", "--set", "m=30", "--set", "days=30", "--seed", "7"]
+        assert main(["synth", "--out-dir", str(out)] + args) == 0
+        path = out / "events.tsv"
+        assert path.read_text().splitlines()[1].startswith("# tool=jobfit")
+        want = corpus._load_events_by_line(path)
+
+        def refuse(path):
+            raise AssertionError("line loop called on a strict log")
+
+        monkeypatch.setattr(corpus, "_load_events_by_line", refuse)
+        assert same_log(load_events(path), want)
 
 
 class TestEventLogColumns:
