@@ -276,6 +276,9 @@ def _load_events_by_line(path: Path) -> EventLog:
                     raise DataFormatError(f"{path}:{lineno}: job id {job} out of range [0, {m})")
                 if day < 0:
                     raise DataFormatError(f"{path}:{lineno}: negative timestamp {day}")
+                widest = max(cand, job, day)
+                if widest >= 2**63:
+                    raise DataFormatError(f"{path}:{lineno}: field {widest} does not fit int64")
                 kinds.append(kind)
                 cands.append(cand)
                 jobs.append(job)

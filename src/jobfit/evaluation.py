@@ -67,9 +67,15 @@ class PartnerLists:
         return cls(np.concatenate(([0], np.cumsum(np.bincount(users)))), partners)
 
     def __getitem__(self, user: int) -> np.ndarray:
-        if user + 1 >= len(self.indptr):
-            return self.ids[:0]
-        return self.ids[self.indptr[user] : self.indptr[user + 1]]
+        return self.ids[self._starts(user) : self._starts(user + 1)]
+
+    def _starts(self, users: np.ndarray) -> np.ndarray:
+        """Where each user's list starts, ``len(ids)`` for users past the end."""
+        return self.indptr[np.minimum(users, len(self.indptr) - 1)]
+
+    def degrees(self, users: np.ndarray) -> np.ndarray:
+        """How many partners each of ``users`` has."""
+        return self._starts(np.asarray(users) + 1) - self._starts(users)
 
     @cached_property
     def _owners(self) -> np.ndarray:
@@ -77,28 +83,18 @@ class PartnerLists:
         return np.repeat(np.arange(len(self.indptr) - 1), np.diff(self.indptr))
 
     @cached_property
-    def _keys(self) -> tuple[int, np.ndarray]:
-        """``(width, user · width + partner)``, ``width`` one past the largest partner id.
-
-        The keys ascend, since partners ascend within each user.
-        """
-        width = int(self.ids.max(initial=-1)) + 1
-        return width, self._owners * width + self.ids
-
-    @cached_property
-    def pair_keys(self) -> tuple[int, frozenset[int]]:
-        """``_keys`` as a set, for membership tests one draw at a time."""
-        width, keys = self._keys
-        return width, frozenset(keys.tolist())
-
-    @cached_property
     def _below(self) -> np.ndarray:
         """Each partner minus its rank in its user's list: the non-partners below it."""
         return self.ids - (np.arange(self.ids.size) - self.indptr[self._owners])
 
     def contains(self, users: np.ndarray, partners: np.ndarray) -> np.ndarray:
-        """Whether ``partners[i]`` is among ``users[i]``'s partners."""
-        width, keys = self._keys
+        """Whether ``partners[i]`` is among ``users[i]``'s partners.
+
+        The keys ``user · width + partner`` ascend, since partners ascend
+        within each user; ``width`` is one past the largest partner id.
+        """
+        width = int(self.ids.max(initial=-1)) + 1
+        keys = self._owners * width + self.ids
         if not keys.size:
             return np.zeros(np.shape(partners), dtype=bool)
         query = users * width + partners
@@ -111,12 +107,11 @@ class PartnerLists:
         A rank moves up by one for every partner whose count of non-partners
         below it is at most the rank. One ``searchsorted`` over
         ``user · universe + count`` keys does this for all users at once.
-        Every user must have a list, and every partner id must be below
-        ``universe``.
+        Every partner id must be below ``universe``.
         """
         keys = self._owners * universe + self._below
         passed = np.searchsorted(keys, users[:, None] * universe + ranks, side="right")
-        return ranks + passed - self.indptr[users][:, None]
+        return ranks + passed - self._starts(users)[:, None]
 
 
 @dataclass(frozen=True, eq=False)
@@ -245,9 +240,7 @@ def build_eval_instances(
     # Drawing from a population size consumes the same stream as drawing
     # from an array that long, and returns ranks among the eligible ids.
     # Rows go match by match, the candidate instance before the job instance.
-    pops = np.stack(
-        [universe - np.diff(p.indptr)[anchors] for _, p, anchors, _, universe in sides], axis=1
-    )
+    pops = np.stack([universe - p.degrees(anchors) for _, p, anchors, _, universe in sides], axis=1)
     short = pops < num_negatives
     if short.any():
         i, side = np.unravel_index(np.argmax(short), short.shape)

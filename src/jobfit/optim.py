@@ -125,36 +125,33 @@ def sample_quadruples(
     n: int,
     m: int,
     rng: np.random.Generator,
-    max_tries: int = 1000,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Uniform negative job and candidate per positive pair, by rejection.
+    """Uniform negative job and candidate per positive pair, from one draw.
+
+    Row ``i`` draws a rank among the jobs that are not ``cands[i]``'s
+    partners, then one among the candidates that are not ``jobs[i]``'s, and
+    ``skip_partners`` maps each rank to its id. Only a row with no eligible
+    id raises ``SamplingError``.
 
     Exclusion lists must cover matches from every split so no sampled negative
     is a true match anywhere in the data.
     """
-    cand_width, cand_keys = by_cand.pair_keys
-    job_width, job_keys = by_job.pair_keys
-    neg_jobs = np.empty(len(cands), dtype=np.int64)
-    neg_cands = np.empty(len(cands), dtype=np.int64)
-    for idx in range(len(cands)):
-        cand, job = int(cands[idx]), int(jobs[idx])
-        base = cand * cand_width
-        for _ in range(max_tries):
-            draw = int(rng.integers(0, m))
-            if draw >= cand_width or base + draw not in cand_keys:
-                neg_jobs[idx] = draw
-                break
-        else:
-            raise SamplingError(f"no eligible negative job found for candidate {cand}")
-        base = job * job_width
-        for _ in range(max_tries):
-            draw = int(rng.integers(0, n))
-            if draw >= job_width or base + draw not in job_keys:
-                neg_cands[idx] = draw
-                break
-        else:
-            raise SamplingError(f"no eligible negative candidate found for job {job}")
-    return neg_jobs, neg_cands
+    sides = ((by_cand, np.asarray(cands), m), (by_job, np.asarray(jobs), n))
+    free = np.stack(
+        [universe - partners.degrees(users) for partners, users, universe in sides], axis=1
+    )
+    empty = free <= 0
+    if empty.any():
+        i, side = np.unravel_index(np.argmax(empty), empty.shape)
+        negative, anchor = ("job", "candidate")[side], ("candidate", "job")[side]
+        raise SamplingError(
+            f"no eligible negative {negative} found for {anchor} {sides[side][1][i]}"
+        )
+    ranks = rng.integers(0, free)
+    return tuple(
+        partners.skip_partners(users, ranks[:, [side]], universe)[:, 0]
+        for side, (partners, users, universe) in enumerate(sides)
+    )
 
 
 def _main_loss_and_weights(y_pos, y_neg_job, y_neg_cand, quadruple: bool):

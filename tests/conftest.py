@@ -9,16 +9,32 @@ against these.
 from __future__ import annotations
 
 import math
+import os
+from pathlib import Path
 
 import numpy as np
 import pytest
 from scipy.special import logsumexp
 
+import jobfit
 from jobfit.corpus import InteractionSplit
 from jobfit.errors import SamplingError
 from jobfit.evaluation import Direction, partner_maps
 from jobfit.model import pair_scores
 from jobfit.optim import _main_loss_and_weights
+
+
+@pytest.fixture(autouse=True, scope="session")
+def subprocesses_import_this_jobfit():
+    """Put the tested package on subprocesses' path (criterion 8 starts some).
+
+    Without an install, pytest's ``pythonpath`` setting reaches only this
+    process, not the environment that child processes inherit.
+    """
+    package_root = str(Path(jobfit.__file__).resolve().parents[1])
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setenv("PYTHONPATH", package_root, prepend=os.pathsep)
+        yield
 
 
 def make_split(applies=(), reachouts=(), matches=()) -> InteractionSplit:
@@ -329,26 +345,26 @@ def naive_eval_instances(matches, by_cand, by_job, n: int, m: int, seed: int, nu
     return out
 
 
-def naive_sample_quadruples(cands, jobs, by_cand, by_job, n: int, m: int, rng, max_tries=1000):
-    """sample_quadruples' rejection loop with dict-of-sets exclusion maps."""
+def naive_sample_quadruples(cands, jobs, by_cand, by_job, n: int, m: int, rng):
+    """sample_quadruples row by row with dict-of-sets exclusion maps.
+
+    Each row lists the ids outside its anchor's set in ascending order and
+    takes the one that a uniform ``rng.integers`` draw names: first a job for
+    the candidate, then a candidate for the job. Scalar draws in that order
+    consume the stream of one call over every row's two counts.
+    """
     neg_jobs = np.empty(len(cands), dtype=np.int64)
     neg_cands = np.empty(len(cands), dtype=np.int64)
     for idx in range(len(cands)):
         cand, job = int(cands[idx]), int(jobs[idx])
-        for _ in range(max_tries):
-            draw = int(rng.integers(0, m))
-            if draw not in by_cand.get(cand, set()):
-                neg_jobs[idx] = draw
-                break
-        else:
+        eligible = sorted(set(range(m)) - by_cand.get(cand, set()))
+        if not eligible:
             raise SamplingError(f"no eligible negative job found for candidate {cand}")
-        for _ in range(max_tries):
-            draw = int(rng.integers(0, n))
-            if draw not in by_job.get(job, set()):
-                neg_cands[idx] = draw
-                break
-        else:
+        neg_jobs[idx] = eligible[rng.integers(0, len(eligible))]
+        eligible = sorted(set(range(n)) - by_job.get(job, set()))
+        if not eligible:
             raise SamplingError(f"no eligible negative candidate found for job {job}")
+        neg_cands[idx] = eligible[rng.integers(0, len(eligible))]
     return neg_jobs, neg_cands
 
 

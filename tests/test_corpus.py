@@ -130,6 +130,19 @@ class TestLoadEvents:
         with pytest.raises(DataFormatError, match="negative timestamp"):
             load_events(path)
 
+    @pytest.mark.parametrize("day", ["9999999999999999995", "99999999999999999999"])
+    @pytest.mark.parametrize("before", [[], ["apply\t0\t0\t1"]], ids=["alone", "after-small-day"])
+    def test_field_beyond_int64_is_refused_with_line_number(self, tmp_path, capsys, day, before):
+        # 19+ digits leave the bulk parse, so the line loop must refuse what
+        # int64 cannot hold instead of wrapping it or raising OverflowError.
+        path = tmp_path / "e.tsv"
+        write_log(path, 2, 2, before + [f"match\t1\t1\t{day}"])
+        message = f"e.tsv:{2 + len(before)}: field {day} does not fit int64"
+        with pytest.raises(DataFormatError, match=message):
+            load_events(path)
+        assert main(["split", "--log", str(path)]) == 2
+        assert message in capsys.readouterr().err
+
     def test_comment_lines_skipped(self, tmp_path):
         path = tmp_path / "e.tsv"
         write_log(path, 2, 2, ["# provenance", "apply\t0\t0\t0", ""])

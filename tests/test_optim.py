@@ -242,13 +242,25 @@ class TestQuadrupleSampling:
         by_cand = partner_lists({3: set(range(6))})
         with pytest.raises(SamplingError, match="candidate 3"):
             sample_quadruples(
-                np.array([3]), np.array([0]), by_cand, partner_lists({}), 4, 6, rng, max_tries=50
+                np.array([3]), np.array([0]), by_cand, partner_lists({}), 4, 6, rng
             )
         by_job = partner_lists({2: set(range(4))})
         with pytest.raises(SamplingError, match="job 2"):
             sample_quadruples(
-                np.array([0]), np.array([2]), partner_lists({}), by_job, 4, 6, rng, max_tries=50
+                np.array([0]), np.array([2]), partner_lists({}), by_job, 4, 6, rng
             )
+
+    @pytest.mark.parametrize("seed", range(20))
+    def test_one_free_job_among_thousands_is_always_drawn(self, seed):
+        # A rejection sampler capped at 1,000 tries per draw mostly fails here.
+        m, free = 5000, 2718
+        by_cand = partner_lists({0: set(range(m)) - {free}})
+        cands = np.zeros(4, dtype=np.int64)
+        neg_jobs, neg_cands = sample_quadruples(
+            cands, cands, by_cand, partner_lists({}), 3, m, np.random.default_rng(seed)
+        )
+        np.testing.assert_array_equal(neg_jobs, free)
+        assert set(neg_cands.tolist()) <= {0, 1, 2}
 
     @given(
         n=st.integers(min_value=1, max_value=6),
@@ -265,15 +277,13 @@ class TestQuadrupleSampling:
         args = (batch[:, 0], batch[:, 1])
         try:
             want = naive_sample_quadruples(*args, *naive_partner_maps(pairs), n, m,
-                                           np.random.default_rng(seed), max_tries=30)
+                                           np.random.default_rng(seed))
         except SamplingError as exc:
             with pytest.raises(SamplingError) as raised:
-                sample_quadruples(*args, *partner_maps(pairs), n, m,
-                                  np.random.default_rng(seed), max_tries=30)
+                sample_quadruples(*args, *partner_maps(pairs), n, m, np.random.default_rng(seed))
             assert str(raised.value) == str(exc)
             return
-        got = sample_quadruples(*args, *partner_maps(pairs), n, m,
-                                np.random.default_rng(seed), max_tries=30)
+        got = sample_quadruples(*args, *partner_maps(pairs), n, m, np.random.default_rng(seed))
         np.testing.assert_array_equal(got[0], want[0])
         np.testing.assert_array_equal(got[1], want[1])
 
