@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import enum
 import logging
+import numbers
 import os
 import re
 import secrets
@@ -57,8 +58,10 @@ class EventLog:
     Event i has kind ``Kind(kinds[i])``, candidate ``candidates[i]`` in
     [0, n), job ``jobs[i]`` in [0, m) and day ``days[i]`` >= 0. Columns are
     stored as int8 kind codes and int64 ids and days, converted and
-    range-checked on construction (``DataFormatError`` names the first bad
-    event). Equality is identity; compare columns with ``np.array_equal``.
+    range-checked on construction: a value that is not an int64 integer, such
+    as a float or an int past the int64 range, is refused too
+    (``DataFormatError`` names the first bad event). Equality is identity;
+    compare columns with ``np.array_equal``.
     """
 
     n: int
@@ -71,7 +74,7 @@ class EventLog:
     def __post_init__(self) -> None:
         upper = {"kinds": len(Kind), "candidates": self.n, "jobs": self.m, "days": np.inf}
         for name, dtype in _COLUMN_DTYPES.items():
-            column = np.asarray(getattr(self, name))
+            column = _int64_column(getattr(self, name), _COLUMN_VALUES[name])
             bad = (column < 0) | (column >= upper[name])
             if bad.any():
                 i = int(np.argmax(bad))
@@ -79,6 +82,20 @@ class EventLog:
                     f"event {i}: {_COLUMN_VALUES[name]} {column[i]} out of range [0, {upper[name]})"
                 )
             object.__setattr__(self, name, column.astype(dtype, copy=False))
+
+
+def _int64_column(values, label: str) -> np.ndarray:
+    """values as an int64 array, or DataFormatError naming the first event not an int64 integer."""
+    column = np.asarray(values)
+    if np.can_cast(column.dtype, np.int64) or not column.size:
+        return column.astype(np.int64, copy=False)
+    # An object array keeps each value exact: NumPy turns a list mixing small
+    # and huge ints into float64, and a list holding one huge int into uint64.
+    exact = np.asarray(values, dtype=object)
+    for i, value in enumerate(exact.tolist()):
+        if not (isinstance(value, numbers.Integral) and -(2**63) <= value < 2**63):
+            raise DataFormatError(f"event {i}: {label} {value} is not an int64 integer")
+    return exact.astype(np.int64)
 
 
 def sorted_unique(keys: np.ndarray) -> np.ndarray:
@@ -308,13 +325,55 @@ def write_events(
     log: EventLog,
     comments: Sequence[str] = (),
 ) -> None:
-    """Write an event log TSV. ``comments`` go right after the header line."""
-    lines = [f"#n={log.n}\tm={log.m}\n"] + [f"# {comment}\n" for comment in comments]
-    for kind, cand, job, day in zip(
-        log.kinds.tolist(), log.candidates.tolist(), log.jobs.tolist(), log.days.tolist()
-    ):
-        lines.append(f"{KIND_TOKENS[kind]}\t{cand}\t{job}\t{day}\n")
-    write_atomic(path, "".join(lines).encode("utf-8"))
+    """Write an event log TSV. ``comments`` go right after the header line.
+
+    The output is the strict form that ``load_events`` parses in bulk. A
+    comment holding a line break is refused with ``ValueError``.
+    """
+    lines = [f"#n={log.n}\tm={log.m}\n"]
+    for comment in comments:
+        if "\n" in comment or "\r" in comment:
+            raise ValueError(f"comment {comment!r} holds a line break")
+        lines.append(f"# {comment}\n")
+    write_atomic(path, "".join(lines).encode("utf-8") + _format_events(log))
+
+
+# Kind tokens NUL-padded to the longest, "reachout": 8 bytes, one word per code.
+_TOKEN_BYTES = np.array([token.encode("ascii") for token in KIND_TOKENS])
+
+
+def _format_events(log: EventLog) -> bytes:
+    """The event lines of a log, formatted with whole-array operations.
+
+    Each event gets a row of a byte table: its NUL-padded kind token, then
+    per column a tab and the decimal digits right-aligned in the column's
+    widest width, then a newline. Unused leading places stay NUL, and no
+    real output byte is NUL, so dropping the NULs leaves the lines.
+    """
+    columns = (log.candidates, log.jobs, log.days)
+    tops = [int(column.max(initial=0)) for column in columns]
+    widths = [len(str(top)) for top in tops]
+    token_width = _TOKEN_BYTES.itemsize
+    table = np.zeros((len(log.kinds), token_width + sum(widths) + 4), dtype=np.uint8)
+    tokens = _TOKEN_BYTES.view(np.uint64)[log.kinds]
+    table[:, :token_width] = tokens.view(np.uint8).reshape(-1, token_width)
+    end = token_width
+    for column, top, width in zip(columns, tops, widths):
+        table[:, end] = ord("\t")
+        end += width
+        # The narrowest unsigned type that holds the column divides fastest.
+        # A place left of the value's leading digit stays NUL.
+        remaining = column.astype(np.min_scalar_type(top))
+        for place in range(end, end - width, -1):
+            quotient = remaining // 10
+            digit = remaining - quotient * 10 + ord("0")
+            if place != end:
+                digit *= remaining > 0
+            table[:, place] = digit
+            remaining = quotient
+        end += 1
+    table[:, end] = ord("\n")
+    return table[table != 0].tobytes()
 
 
 def temporal_split(log: EventLog, t_valid_start: int, t_test_start: int) -> SplitDataset:

@@ -17,7 +17,7 @@ import pytest
 from scipy.special import logsumexp
 
 import jobfit
-from jobfit.corpus import InteractionSplit
+from jobfit.corpus import KIND_TOKENS, InteractionSplit
 from jobfit.errors import SamplingError
 from jobfit.evaluation import Direction, partner_maps
 from jobfit.model import pair_scores
@@ -39,6 +39,16 @@ def subprocesses_import_this_jobfit():
 
 def make_split(applies=(), reachouts=(), matches=()) -> InteractionSplit:
     return InteractionSplit(applies=applies, reachouts=reachouts, matches=matches)
+
+
+def naive_write_events(path, log, comments=()) -> None:
+    """Reference for write_events: one f-string per header, comment and event."""
+    lines = [f"#n={log.n}\tm={log.m}\n"] + [f"# {comment}\n" for comment in comments]
+    for kind, cand, job, day in zip(
+        log.kinds.tolist(), log.candidates.tolist(), log.jobs.tolist(), log.days.tolist()
+    ):
+        lines.append(f"{KIND_TOKENS[kind]}\t{cand}\t{job}\t{day}\n")
+    Path(path).write_bytes("".join(lines).encode("utf-8"))
 
 
 def naive_temporal_split(rows, t_valid_start: int, t_test_start: int):

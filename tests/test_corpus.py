@@ -4,6 +4,7 @@ import ast
 import os
 import stat
 import struct
+import warnings
 
 from pathlib import Path
 
@@ -13,7 +14,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from jobfit import corpus
-from jobfit.cli import main
+from jobfit.cli import main, make_run_config, provenance_lines
 from jobfit.corpus import (
     EMBED_MAGIC,
     DocTable,
@@ -33,7 +34,7 @@ from jobfit.corpus import (
 )
 from jobfit.errors import ConfigError, DataFormatError
 
-from conftest import naive_temporal_split
+from conftest import naive_temporal_split, naive_write_events
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "jobfit"
 INT64 = np.iinfo(np.int64)
@@ -193,15 +194,15 @@ PERTURBATIONS = {
 
 
 @st.composite
-def written_logs(draw):
+def written_logs(draw, max_day=10**18 - 1):
     """(log, comments) for a log that write_events can write."""
     n = draw(st.one_of(st.integers(1, 5), st.integers(1, 10**12)))
     m = draw(st.one_of(st.integers(1, 5), st.integers(1, 10**12)))
     row = st.tuples(
         st.sampled_from(list(Kind)),
-        st.integers(0, n - 1),
-        st.integers(0, m - 1),
-        st.one_of(st.integers(0, 40), st.integers(0, 10**18 - 1)),
+        st.one_of(st.just(0), st.integers(0, n - 1)),
+        st.one_of(st.just(0), st.integers(0, m - 1)),
+        st.one_of(st.just(0), st.integers(0, 40), st.integers(0, max_day)),
     )
     comment = st.text(st.characters(exclude_categories=("Cs",), exclude_characters="\r\n"))
     rows = draw(st.lists(row, min_size=1, max_size=30))
@@ -261,6 +262,73 @@ class TestBulkEventParse:
         assert same_log(load_events(path), want)
 
 
+class TestWriteEvents:
+    """write_events against the f-string loop it replaced, byte for byte."""
+
+    def assert_writes_like_oracle(self, root, log, comments):
+        write_events(root / "bulk.tsv", log, comments=comments)
+        naive_write_events(root / "naive.tsv", log, comments)
+        data = (root / "bulk.tsv").read_bytes()
+        assert data == (root / "naive.tsv").read_bytes()
+        assert same_log(load_events(root / "bulk.tsv"), log)
+        # load_events takes the bulk path exactly when every field has at
+        # most 18 digits.
+        widest = max(int(getattr(log, name).max(initial=0)) for name, _ in COLUMNS[1:])
+        assert (corpus._parse_events_bulk(data) is not None) == (widest < 10**18)
+
+    @given(case=written_logs(max_day=INT64.max))
+    @settings(max_examples=200, deadline=None)
+    @example(case=(make_log(1, 1, [(Kind.MATCH, 0, 0, 0)]), []))
+    @example(case=(make_log(3, 2, [(Kind.APPLY, 2, 1, INT64.max), (Kind.REACHOUT, 0, 0, 9)]), ["x"]))
+    def test_equals_naive_writer(self, tmp_path_factory, case):
+        self.assert_writes_like_oracle(tmp_path_factory.mktemp("write"), *case)
+
+    @pytest.mark.parametrize(
+        "rows",
+        [[], [(Kind.APPLY, 0, 3, 7)], [(Kind.REACHOUT, 4, 0, 0)], [(Kind.MATCH, 9, 9, 10**18)]],
+        ids=["empty", "apply", "reachout", "match"],
+    )
+    @pytest.mark.parametrize("comments", [[], ["tool=test", "", "café ☕"]])
+    def test_small_logs(self, tmp_path, rows, comments):
+        self.assert_writes_like_oracle(tmp_path, make_log(10, 10, rows), comments)
+
+    @pytest.mark.parametrize("comment", ["a\nb", "a\rb", "\r\n", "trailing\n"])
+    def test_comment_with_line_break_refused(self, tmp_path, comment):
+        path = tmp_path / "events.tsv"
+        log = make_log(2, 2, [(Kind.APPLY, 0, 1, 0)])
+        write_events(path, log)
+        before = path.read_bytes()
+        with pytest.raises(ValueError, match="line break"):
+            write_events(path, make_log(2, 2, [(Kind.MATCH, 1, 1, 5)]), comments=["ok", comment])
+        with pytest.raises(ValueError, match="line break"):
+            write_events(tmp_path / "new.tsv", log, comments=[comment])
+        assert path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["events.tsv"]
+
+    def test_cli_writes_what_the_oracle_writes(self, tmp_path):
+        def run(command, out, settings):
+            args = [a for key, value in settings.items() for a in ("--set", f"{key}={value}")]
+            assert main([command, "--out-dir", str(out)] + args) == 0
+            return make_run_config({key: str(value) for key, value in settings.items()})
+
+        def oracle_bytes(log, cfg):
+            naive_write_events(tmp_path / "want.tsv", log, provenance_lines(cfg))
+            return (tmp_path / "want.tsv").read_bytes()
+
+        synth = tmp_path / "synth"
+        cfg = run("synth", synth, {"n": 40, "m": 30, "days": 30, "seed": 7})
+        log, _, _ = generate_synthetic(cfg)
+        assert (synth / "events.tsv").read_bytes() == oracle_bytes(log, cfg)
+
+        split = tmp_path / "split"
+        bounds = {"t_valid_start": 20, "t_test_start": 25}
+        cfg = run("split", split, {"log": synth / "events.tsv", **bounds})
+        dataset = temporal_split(log, 20, 25)
+        for name, day in (("train", 0), ("valid", 20), ("test", 25)):
+            want = oracle_bytes(split_to_log(dataset, getattr(dataset, name), day), cfg)
+            assert (split / f"{name}.tsv").read_bytes() == want, name
+
+
 class TestEventLogColumns:
     @pytest.mark.parametrize(
         "columns, message",
@@ -274,6 +342,35 @@ class TestEventLogColumns:
     def test_out_of_range_columns_rejected(self, columns, message):
         with pytest.raises(DataFormatError, match=message):
             EventLog(2, 2, *columns)
+
+    @pytest.mark.parametrize(
+        "days, message",
+        [
+            ([9999999999999999995], "event 0: day 9999999999999999995 is not an int64 integer"),
+            ([1, 9999999999999999995], "event 1: day 9999999999999999995 is not an int64 integer"),
+            ([99999999999999999999], "event 0: day 99999999999999999999 is not an int64 integer"),
+            ([1.5], "event 0: day 1.5 is not an int64 integer"),
+            ([0, 0, 2**63], "event 2: day 9223372036854775808 is not an int64 integer"),
+        ],
+        ids=["uint64", "float64-mix", "object", "float", "int64-max-plus-one"],
+    )
+    def test_values_that_are_not_int64_integers_rejected(self, days, message):
+        # These used to wrap, round through float64, raise OverflowError or
+        # truncate.
+        with pytest.raises(DataFormatError, match=message):
+            EventLog(2, 2, [0] * len(days), [0] * len(days), [1] * len(days), days)
+
+    def test_int64_values_load_unchanged(self):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            log = EventLog(
+                4, 3, [Kind.MATCH, 0], np.array([3, 0], dtype=np.uint64), [2, 0], [INT64.max, 0]
+            )
+        assert log_rows(log) == [(2, 3, 2, INT64.max), (0, 0, 0, 0)]
+        assert [getattr(log, name).dtype for name, _ in COLUMNS] == [dtype for _, dtype in COLUMNS]
+        # NumPy makes this list float64, which would round the first day.
+        days = [np.uint64(2**62 + 1), np.int64(1)]
+        assert EventLog(2, 2, [0, 0], [0, 0], [0, 0], days).days.tolist() == [2**62 + 1, 1]
 
     def test_out_of_range_job_no_longer_aliases_in_split(self):
         # the key 0*2 + 3 would decode as the pair (1, 1)
